@@ -53,9 +53,9 @@ void BM_KwPredictResnet50(benchmark::State& state) {
 }
 BENCHMARK(BM_KwPredictResnet50);
 
-// Steady-state prediction: the per-network signature-id vector is
-// already memoized, so the loop exercises only the dense arithmetic
-// path (no string hashing, no map lookups).
+// Steady-state prediction: the plan is already compiled and cached, so
+// the loop exercises only the fingerprint check, the cache lookup and
+// the plan sweep (no string hashing, no per-layer map lookups).
 void BM_KwPredictResnet50Cached(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");

@@ -68,8 +68,8 @@ cmake -B "$TSAN_BUILD" -S . -DGPUPERF_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j --target \
   thread_pool_test parallel_build_test lowering_cache_test \
   bundle_registry_test metrics_registry_test span_tracer_test \
-  prediction_plan_test drift_monitor_test refit_test self_healing_test \
-  serving_test fault_injection_test
+  prediction_plan_test plan_reference_test drift_monitor_test refit_test \
+  self_healing_test serving_test fault_injection_test
 "./$TSAN_BUILD/tests/thread_pool_test"
 "./$TSAN_BUILD/tests/parallel_build_test"
 "./$TSAN_BUILD/tests/lowering_cache_test"
@@ -81,6 +81,9 @@ cmake --build "$TSAN_BUILD" -j --target \
 "./$TSAN_BUILD/tests/span_tracer_test"
 # Concurrent PredictMany sweeps racing through plan-cache compiles.
 "./$TSAN_BUILD/tests/prediction_plan_test"
+# Cold PredictUs/CoverageFor/PlanFor/PredictMany racing on one model's
+# signature-id and plan cache entries.
+"./$TSAN_BUILD/tests/plan_reference_test"
 # The drift/refit/promotion lifecycle over the hot-swapping registry:
 # the e2e heal must be data-race-free alongside concurrent readers.
 "./$TSAN_BUILD/tests/drift_monitor_test"

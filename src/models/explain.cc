@@ -1,58 +1,51 @@
 #include "models/explain.h"
 
-#include <algorithm>
 #include <map>
+#include <utility>
 
 namespace gpuperf::models {
 
 PredictionBreakdown ExplainPlan(const PredictionPlan& plan,
-                                std::int64_t batch) {
-  PredictionBreakdown out;
-  out.layers.reserve(plan.layer_count());
-  out.terms.reserve(plan.term_count());
-  std::map<int, ClusterContribution> clusters;  // sorted => deterministic
-  double total = 0.0;
-  std::uint32_t term = 0;
-  for (std::size_t i = 0; i < plan.layer_count(); ++i) {
-    const std::uint32_t end = plan.layer_end(i);
-    const double scale_a = plan.layer_scale_a(i);
-    const double scale_b = plan.layer_scale_b(i);
-    double subtotal = 0.0;
-    for (; term < end; ++term) {
-      // Same op order as EvalUs: x converts the int64 product once, the
-      // fit is intercept + slope * x, negatives clamp to zero.
-      const double x = static_cast<double>(batch * plan.term_value(term));
-      const double raw = std::max(
-          0.0, plan.term_intercept(term) + plan.term_slope(term) * x);
-      subtotal += raw;
+                               std::int64_t batch) {
+  struct Collect : PlanVisitor {
+    const PredictionPlan* plan;
+    PredictionBreakdown* out;
+    std::map<int, ClusterContribution> clusters;  // sorted => deterministic
+    void Term(const PlanTerm& term) {
       TermContribution tc;
-      tc.layer = i;
-      tc.layer_label = plan.layer_label(i);
-      tc.cluster_id = plan.term_cluster(term);
-      tc.raw_us = raw;
+      tc.layer = term.layer;
+      tc.layer_label = plan->layer_label(term.layer);
+      tc.cluster_id = term.cluster_id;
+      tc.raw_us = term.us;
       // Applying the scales per term re-associates one multiply; the
-      // exact addend lives in the layer contribution below.
-      tc.scaled_us = raw * scale_a * scale_b;
+      // exact addend lives in the layer contribution.
+      tc.scaled_us = term.us * plan->layer_scale_a(term.layer) *
+                     plan->layer_scale_b(term.layer);
       ClusterContribution& cc = clusters[tc.cluster_id];
       cc.cluster_id = tc.cluster_id;
       cc.terms += 1;
       cc.us += tc.scaled_us;
-      out.terms.push_back(std::move(tc));
+      out->terms.push_back(std::move(tc));
     }
-    const double addend = subtotal * scale_a * scale_b;
-    total += addend;
-    LayerContribution lc;
-    lc.index = i;
-    lc.label = plan.layer_label(i);
-    lc.us = addend;
-    out.layers.push_back(std::move(lc));
-  }
+    void Layer(std::size_t layer, double addend) {
+      LayerContribution lc;
+      lc.index = layer;
+      lc.label = plan->layer_label(layer);
+      lc.us = addend;
+      out->layers.push_back(std::move(lc));
+    }
+  };
+  PredictionBreakdown out;
+  out.layers.reserve(plan.layer_count());
+  out.terms.reserve(plan.term_count());
+  Collect collect{{}, &plan, &out, {}};
+  const double total = plan.Walk(batch, collect);
   out.total_us = total;
   for (LayerContribution& lc : out.layers) {
     lc.share = total != 0.0 ? lc.us / total : 0.0;
   }
-  out.clusters.reserve(clusters.size());
-  for (auto& [id, cc] : clusters) {
+  out.clusters.reserve(collect.clusters.size());
+  for (auto& [id, cc] : collect.clusters) {
     (void)id;
     cc.share = total != 0.0 ? cc.us / total : 0.0;
     out.clusters.push_back(std::move(cc));

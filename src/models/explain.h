@@ -6,10 +6,9 @@
  * Prediction-error attribution: decompose a compiled prediction into
  * per-layer, per-cluster, and per-term contributions.
  *
- * ExplainPlan replays PredictionPlan::EvalUs's exact floating-point
- * accumulation order through the plan's metadata accessors, so the
- * reported `total_us` is bit-identical to EvalUs (and therefore to
- * PredictUs, which plans mirror by construction). Each layer's
+ * ExplainPlan is a visitor on PredictionPlan::Walk, the loop EvalUs
+ * (and therefore PredictUs) runs, so the reported `total_us` is
+ * bit-identical to the prediction by construction. Each layer's
  * contribution is the exact addend `subtotal * scale_a * scale_b` that
  * EvalUs folds into its running total — summing the layer
  * contributions in order reproduces the total bit-for-bit. Per-term

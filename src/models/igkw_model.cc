@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "dnn/flops.h"
 #include "gpuexec/gpu_spec.h"
 #include "regression/linreg.h"
 
@@ -120,30 +119,17 @@ void IgkwModel::Train(const dataset::Dataset& data,
 }
 
 void IgkwModel::FinalizeTables() {
-  sig_index_.clear();
-  reduced_index_.clear();
   resolved_.clear();
-  predict_cache_.Clear();
   plan_cache_.Clear();
 
-  // Signature ids follow the sorted mapping-table order; the reduced
-  // index keeps the first full signature per reduced key, matching the
-  // KW model's fallback-table derivation.
+  // One entry per mapping-table signature in sorted order, which is the
+  // KW model's signature-id order: resolved_[sid] matches kw_'s sids.
   const std::map<std::string, std::vector<std::string>>& mapping =
       kw_.MappingTable();
+  resolved_.reserve(mapping.size());
   for (const auto& [signature, names] : mapping) {
-    (void)names;
-    sig_index_.emplace(signature, static_cast<int>(sig_index_.size()));
-  }
-  for (const auto& [signature, names] : mapping) {
-    (void)names;
-    reduced_index_.emplace(ReducedSignature(signature),
-                           sig_index_.at(signature));
-  }
-
-  resolved_.resize(sig_index_.size());
-  for (const auto& [signature, names] : mapping) {
-    ResolvedSig& sig = resolved_[sig_index_.at(signature)];
+    (void)signature;
+    ResolvedSig& sig = resolved_.emplace_back();
     for (const std::string& name : names) {
       auto it = laws_.find(name);
       if (it == laws_.end()) {
@@ -156,87 +142,11 @@ void IgkwModel::FinalizeTables() {
   }
 }
 
-int IgkwModel::ResolveSid(const dnn::Layer& layer) const {
-  const std::string signature = dnn::LayerSignature(layer);
-  auto it = sig_index_.find(signature);
-  if (it != sig_index_.end()) return it->second;
-  auto reduced = reduced_index_.find(ReducedSignature(signature));
-  if (reduced != reduced_index_.end()) return reduced->second;
-  return -1;
-}
-
-double IgkwModel::PredictLayerResolved(int sid, const dnn::Layer& layer,
-                                       const gpuexec::GpuSpec& gpu,
-                                       const std::vector<double>& features,
-                                       std::int64_t batch) const {
+IgkwModel::Target IgkwModel::TargetFor(const gpuexec::GpuSpec& gpu) const {
+  Target target;
+  target.features = Features(gpu);
   // Fallbacks route through the nearest-bandwidth training GPU's KW
   // estimate, scaled by the bandwidth ratio (memory-bound default).
-  auto fallback = [&]() {
-    std::string nearest = training_gpus_.front();
-    double best = 1e300;
-    for (const std::string& name : training_gpus_) {
-      const double gap = std::fabs(
-          gpuexec::GpuByName(name).bandwidth_gbps - gpu.bandwidth_gbps);
-      if (gap < best) {
-        best = gap;
-        nearest = name;
-      }
-    }
-    const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
-    return kw_.PredictLayerUs(layer, nearest, batch) *
-           (near_bw / gpu.bandwidth_gbps);
-  };
-  if (sid < 0) return fallback();
-  const ResolvedSig& resolved = resolved_[sid];
-  if (resolved.fallback) return fallback();
-
-  const double x_input = static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-
-  double total = 0;
-  for (const InterGpuKernelModel& law : resolved.laws) {
-    const regression::LinearFit fit = FitFromFeatures(law, features);
-    double x = x_operation;
-    if (law.driver == CostDriver::kInput) x = x_input;
-    if (law.driver == CostDriver::kOutput) x = x_output;
-    total += std::max(0.0, fit.Predict(x));
-  }
-  return total * mean_calibration_;
-}
-
-double IgkwModel::PredictLayerUs(const dnn::Layer& layer,
-                                 const gpuexec::GpuSpec& gpu,
-                                 std::int64_t batch) const {
-  return PredictLayerResolved(ResolveSid(layer), layer, gpu, Features(gpu),
-                              batch);
-}
-
-double IgkwModel::PredictUs(const dnn::Network& network,
-                            const gpuexec::GpuSpec& gpu,
-                            std::int64_t batch) const {
-  // GPU features are evaluated once per call, and per-layer signature
-  // resolution is memoized per network, so the loop below does no string
-  // building, hashing, or map lookups.
-  const std::vector<double> features = Features(gpu);
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
-  const std::vector<dnn::Layer>& layers = network.layers();
-  double total = 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    total += PredictLayerResolved((*sids)[i], layers[i], gpu, features, batch);
-  }
-  return total;
-}
-
-PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
-                                      const gpuexec::GpuSpec& gpu) const {
-  const std::vector<double> features = Features(gpu);
-  // The nearest-bandwidth training GPU and its scaling ratio depend
-  // only on the target spec, so they are resolved once per plan instead
-  // of once per fallback layer per query.
   std::string nearest = training_gpus_.front();
   double best = 1e300;
   for (const std::string& name : training_gpus_) {
@@ -247,30 +157,41 @@ PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
       nearest = name;
     }
   }
-  const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
-  const double ratio = near_bw / gpu.bandwidth_gbps;
+  target.nearest_gpu = kw_.GpuIndex(nearest);
+  target.ratio =
+      gpuexec::GpuByName(nearest).bandwidth_gbps / gpu.bandwidth_gbps;
+  return target;
+}
 
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
-  const std::vector<dnn::Layer>& layers = network.layers();
-  PredictionPlan plan;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const int sid = (*sids)[i];
-    if (sid < 0 || resolved_[sid].fallback) {
-      // Nearest-GPU KW estimate scaled by the bandwidth ratio — the KW
-      // model compiles the layer with `ratio` as the trailing scale,
-      // reproducing `kw_.PredictLayerUs(...) * ratio` bit-for-bit.
-      kw_.CompileLayerInto(layers[i], nearest, ratio, plan);
-      continue;
-    }
-    plan.BeginLayer(mean_calibration_, 1.0);
-    for (const InterGpuKernelModel& law : resolved_[sid].laws) {
-      const regression::LinearFit fit = FitFromFeatures(law, features);
-      plan.AddTerm(gpuexec::PerSampleDriverValue(layers[i], law.driver),
-                   fit.slope, fit.intercept);
-    }
+void IgkwModel::CompileLayerInto(const dnn::Layer& layer, int sid,
+                                 const Target& target,
+                                 PredictionPlan& plan) const {
+  if (sid < 0 || resolved_[sid].fallback) {
+    // The nearest GPU's KW layer, with the bandwidth ratio as the
+    // trailing scale: (KW layer estimate) * ratio.
+    kw_.CompileLayerInto(layer, sid, target.nearest_gpu, target.ratio, plan);
+    return;
   }
-  return plan;
+  plan.BeginLayer(mean_calibration_, 1.0);
+  for (const InterGpuKernelModel& law : resolved_[sid].laws) {
+    const regression::LinearFit fit = FitFromFeatures(law, target.features);
+    plan.AddTerm(gpuexec::PerSampleDriverValue(layer, law.driver), fit.slope,
+                 fit.intercept);
+  }
+}
+
+double IgkwModel::PredictLayerUs(const dnn::Layer& layer,
+                                 const gpuexec::GpuSpec& gpu,
+                                 std::int64_t batch) const {
+  PredictionPlan plan;
+  CompileLayerInto(layer, kw_.ResolveSid(layer), TargetFor(gpu), plan);
+  return plan.EvalUs(batch);
+}
+
+double IgkwModel::PredictUs(const dnn::Network& network,
+                            const gpuexec::GpuSpec& gpu,
+                            std::int64_t batch) const {
+  return PlanFor(network, gpu)->EvalUs(batch);
 }
 
 const PredictionPlan* IgkwModel::PlanForFp(const dnn::Network& network,
@@ -283,9 +204,18 @@ const PredictionPlan* IgkwModel::PlanForFp(const dnn::Network& network,
   PlanCache::SlotKey slot;
   slot.feature_a = gpu.bandwidth_gbps;
   slot.feature_b = gpu.fp32_tflops;
-  return plan_cache_.Get(network, fingerprint, slot, [&] {
-    return CompilePlan(network, gpu);
-  });
+  return plan_cache_.Get(
+      network, fingerprint, slot,
+      [this](const dnn::Layer& layer) { return kw_.ResolveSid(layer); },
+      [&](const std::vector<int>& sids) {
+        const Target target = TargetFor(gpu);
+        PredictionPlan plan;
+        const std::vector<dnn::Layer>& layers = network.layers();
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          CompileLayerInto(layers[i], sids[i], target, plan);
+        }
+        return plan;
+      });
 }
 
 const PredictionPlan* IgkwModel::PlanFor(const dnn::Network& network,

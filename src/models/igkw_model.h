@@ -20,14 +20,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dataset/dataset.h"
 #include "dnn/layer.h"
 #include "gpuexec/kernel.h"
 #include "models/kw_model.h"
-#include "models/network_cache.h"
 #include "models/predictor.h"
 
 namespace gpuperf::models {
@@ -69,9 +67,10 @@ class IgkwModel : public Predictor {
   /**
    * Batched prediction through compiled plans (scaling laws evaluated
    * once at compile time per (network, GPU-spec) pair, not per query).
-   * Bit-identical to per-query PredictUs. Hypothetical GPUs are keyed
-   * by their scaling-feature values, so two specs with equal features
-   * share a plan — by construction they predict identically.
+   * Bit-identical to per-query PredictUs, which evaluates the same
+   * plans. Hypothetical GPUs are keyed by their scaling-feature values,
+   * so two specs with equal features share a plan — by construction
+   * they predict identically.
    */
   void PredictMany(std::span<const PredictQuery> queries,
                    std::span<double> out_us) const override;
@@ -83,7 +82,10 @@ class IgkwModel : public Predictor {
   const PredictionPlan* PlanFor(const dnn::Network& network,
                                 const gpuexec::GpuSpec& gpu) const;
 
-  /** Per-layer prediction for a (possibly hypothetical) GPU spec. */
+  /**
+   * Per-layer prediction for a (possibly hypothetical) GPU spec: a
+   * one-layer plan, compiled per call and not cached.
+   */
   double PredictLayerUs(const dnn::Layer& layer, const gpuexec::GpuSpec& gpu,
                         std::int64_t batch) const;
 
@@ -104,29 +106,30 @@ class IgkwModel : public Predictor {
     std::vector<InterGpuKernelModel> laws;
   };
 
+  /** What a plan bakes in about its target GPU spec. */
+  struct Target {
+    std::vector<double> features;  // Features(gpu)
+    int nearest_gpu = -1;  // KW index of the nearest-bandwidth training GPU
+    double ratio = 1.0;    // its bandwidth over the target's
+  };
+
   /** Feature vector of a GPU spec under the configured ScalingFeature. */
   std::vector<double> Features(const gpuexec::GpuSpec& gpu) const;
 
   /** Resolves the mapping table into per-signature law lists. */
   void FinalizeTables();
 
-  /** Dense signature id of `layer` (full, then reduced), or -1. */
-  int ResolveSid(const dnn::Layer& layer) const;
-
-  /** Layer prediction from a resolved sid and precomputed GPU features. */
-  double PredictLayerResolved(int sid, const dnn::Layer& layer,
-                              const gpuexec::GpuSpec& gpu,
-                              const std::vector<double>& features,
-                              std::int64_t batch) const;
-
   /** The fitted line evaluated from precomputed features. */
   regression::LinearFit FitFromFeatures(
       const InterGpuKernelModel& law,
       const std::vector<double>& features) const;
 
-  /** Compiles the whole network for one GPU spec (PlanFor misses). */
-  PredictionPlan CompilePlan(const dnn::Network& network,
-                             const gpuexec::GpuSpec& gpu) const;
+  /** Everything a plan for `gpu` needs beyond the signature ids. */
+  Target TargetFor(const gpuexec::GpuSpec& gpu) const;
+
+  /** Appends `layer` (KW signature id `sid`) to `plan` for `target`. */
+  void CompileLayerInto(const dnn::Layer& layer, int sid,
+                        const Target& target, PredictionPlan& plan) const;
 
   /** PlanFor with the network fingerprint already computed. */
   const PredictionPlan* PlanForFp(const dnn::Network& network,
@@ -139,13 +142,10 @@ class IgkwModel : public Predictor {
   std::map<std::string, InterGpuKernelModel> laws_;
   std::vector<std::string> training_gpus_;
 
-  // --- Dense tables built by FinalizeTables(); indexed by sid.
-  std::unordered_map<std::string, int> sig_index_;
-  std::unordered_map<std::string, int> reduced_index_;
+  // Built by FinalizeTables(); indexed by the KW model's signature ids
+  // (both follow the sorted mapping table).
   std::vector<ResolvedSig> resolved_;
-  // network name -> per-layer sids, filled lazily on prediction.
-  NetworkSidCache predict_cache_;
-  // (network, gpu features) -> compiled plan, filled lazily by PlanFor.
+  // network -> signature ids + per-spec compiled plans, filled lazily.
   PlanCache plan_cache_;
 };
 

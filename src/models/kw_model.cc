@@ -253,7 +253,6 @@ void KwModel::FinalizeTables() {
   sig_index_.clear();
   reduced_index_.clear();
   resolved_.clear();
-  predict_cache_.Clear();
   plan_cache_.Clear();
 
   for (const auto& [gpu, kernels] : per_gpu_) {
@@ -338,10 +337,7 @@ KwModel::Coverage KwModel::CoverageFor(const dnn::Network& network,
   Coverage coverage;
   coverage.gpu_trained = gpu_index_.find(gpu_name) != gpu_index_.end();
   coverage.layers = static_cast<int>(network.layers().size());
-  // Reuses the per-network sid memo, so steady-state coverage checks are
-  // one hash lookup, not one signature build per layer.
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
+  const std::vector<int>* sids = SidsFor(network);
   for (std::size_t i = 0; i < sids->size(); ++i) {
     // Layers that launch no kernels (flatten, dropout) never appear in
     // profiled traces, so they have no mapping entry by construction;
@@ -363,61 +359,18 @@ int KwModel::ResolveSid(const dnn::Layer& layer) const {
   return -1;
 }
 
-double KwModel::PredictLayerResolved(int gpu_idx, int sid,
-                                     const dnn::Layer& layer,
-                                     const std::string& gpu_name,
-                                     std::int64_t batch) const {
-  if (sid < 0) {
-    // Unknown layer configuration: layer-wise estimate.
-    return lw_fallback_.PredictLayerUs(layer, gpu_name, batch);
-  }
-  const ResolvedLayer& resolved = resolved_[gpu_idx][sid];
-  if (resolved.use_lw) {
-    return lw_fallback_.PredictLayerUs(layer, gpu_name, batch);
-  }
-
-  const double x_input =
-      static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-
-  double total = 0;
-  for (const ResolvedKernel& kernel : resolved.kernels) {
-    double x = x_operation;
-    if (kernel.driver == CostDriver::kInput) x = x_input;
-    if (kernel.driver == CostDriver::kOutput) x = x_output;
-    total += std::max(0.0, kernel.intercept + kernel.slope * x);
-  }
-  return total * calibration_by_gpu_[gpu_idx];
-}
-
-bool KwModel::AppendKernelTerms(const dnn::Layer& layer,
-                                const std::string& gpu_name,
-                                std::int64_t batch,
-                                std::vector<KernelTerm>* out) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
+int KwModel::GpuIndex(const std::string& gpu_name) const {
+  auto it = gpu_index_.find(gpu_name);
+  if (it == gpu_index_.end()) {
     Fatal("KW model not trained for GPU " + gpu_name);
   }
-  const int sid = ResolveSid(layer);
-  if (sid < 0 || resolved_[gpu_it->second][sid].use_lw) return false;
-  const ResolvedLayer& resolved = resolved_[gpu_it->second][sid];
+  return it->second;
+}
 
-  const double x_input = static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-  for (const ResolvedKernel& kernel : resolved.kernels) {
-    double x = x_operation;
-    if (kernel.driver == CostDriver::kInput) x = x_input;
-    if (kernel.driver == CostDriver::kOutput) x = x_output;
-    out->push_back({kernel.cluster_id, x,
-                    std::max(0.0, kernel.intercept + kernel.slope * x)});
-  }
-  return true;
+const std::vector<int>* KwModel::SidsFor(const dnn::Network& network) const {
+  return plan_cache_.Sids(
+      network, NetworkFingerprint(network),
+      [this](const dnn::Layer& layer) { return ResolveSid(layer); });
 }
 
 int KwModel::UpdateClusterFit(const std::string& gpu_name, int cluster_id,
@@ -438,53 +391,25 @@ int KwModel::UpdateClusterFit(const std::string& gpu_name, int cluster_id,
 double KwModel::PredictLayerUs(const dnn::Layer& layer,
                                const std::string& gpu_name,
                                std::int64_t batch) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  return PredictLayerResolved(gpu_it->second, ResolveSid(layer), layer,
-                              gpu_name, batch);
+  PredictionPlan plan;
+  CompileLayerInto(layer, ResolveSid(layer), GpuIndex(gpu_name), 1.0, plan);
+  return plan.EvalUs(batch);
 }
 
 double KwModel::PredictUs(const dnn::Network& network,
                           const gpuexec::GpuSpec& gpu,
                           std::int64_t batch) const {
-  auto gpu_it = gpu_index_.find(gpu.name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu.name);
-  }
-  const int gpu_idx = gpu_it->second;
-  // Per-layer signature resolution is memoized per network, so the loop
-  // below does no string building, hashing, or map lookups.
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
-  const std::vector<dnn::Layer>& layers = network.layers();
-  double total = 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    total += PredictLayerResolved(gpu_idx, (*sids)[i], layers[i], gpu.name,
-                                  batch);
-  }
-  return total;
+  return PlanFor(network, gpu)->EvalUs(batch);
 }
 
-void KwModel::CompileLayerInto(const dnn::Layer& layer,
-                               const std::string& gpu_name,
+void KwModel::CompileLayerInto(const dnn::Layer& layer, int sid, int gpu_idx,
                                double extra_scale,
                                PredictionPlan& plan) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  const int gpu_idx = gpu_it->second;
-  const int sid = ResolveSid(layer);
-  // Mirrors PredictLayerResolved exactly: the plan's per-layer sweep
-  // performs the same floating-point operations in the same order, so
-  // EvalUs is bit-identical to the per-query path.
   if (sid < 0 || resolved_[gpu_idx][sid].use_lw) {
     // Layer-wise fallback: max(0, fit(FLOPs)), no calibration factor.
     plan.BeginLayer(1.0, extra_scale, layer.name);
     const regression::LinearFit* fit =
-        lw_fallback_.FitFor(gpu_name, layer.kind);
+        lw_fallback_.FitFor(gpu_names_[gpu_idx], layer.kind);
     if (fit != nullptr) {
       plan.AddTerm(dnn::LayerFlops(layer, 1), fit->slope, fit->intercept);
     }
@@ -497,27 +422,22 @@ void KwModel::CompileLayerInto(const dnn::Layer& layer,
   }
 }
 
-PredictionPlan KwModel::CompilePlan(const dnn::Network& network,
-                                    const std::string& gpu_name) const {
-  PredictionPlan plan;
-  for (const dnn::Layer& layer : network.layers()) {
-    CompileLayerInto(layer, gpu_name, 1.0, plan);
-  }
-  return plan;
-}
-
 const PredictionPlan* KwModel::PlanForFp(const dnn::Network& network,
                                          std::uint64_t fingerprint,
                                          const gpuexec::GpuSpec& gpu) const {
-  auto gpu_it = gpu_index_.find(gpu.name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu.name);
-  }
   PlanCache::SlotKey slot;
-  slot.gpu_index = gpu_it->second;
-  return plan_cache_.Get(network, fingerprint, slot, [&] {
-    return CompilePlan(network, gpu.name);
-  });
+  slot.gpu_index = GpuIndex(gpu.name);
+  return plan_cache_.Get(
+      network, fingerprint, slot,
+      [this](const dnn::Layer& layer) { return ResolveSid(layer); },
+      [&](const std::vector<int>& sids) {
+        PredictionPlan plan;
+        const std::vector<dnn::Layer>& layers = network.layers();
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          CompileLayerInto(layers[i], sids[i], slot.gpu_index, 1.0, plan);
+        }
+        return plan;
+      });
 }
 
 const PredictionPlan* KwModel::PlanFor(const dnn::Network& network,
@@ -575,11 +495,7 @@ int KwModel::KernelCount(const std::string& gpu_name) const {
 int KwModel::ClusterCount(const std::string& gpu_name) const {
   // Counted once in FinalizeTables(); this used to sort + unique the
   // whole kernel set on every call.
-  auto it = gpu_index_.find(gpu_name);
-  if (it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  return cluster_counts_[it->second];
+  return cluster_counts_[GpuIndex(gpu_name)];
 }
 
 }  // namespace gpuperf::models

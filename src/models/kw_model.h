@@ -18,6 +18,9 @@
  * Prediction sums per-kernel regression outputs over the kernel lists of
  * all layers; unseen layer signatures fall back to a reduced
  * (type + filter parameters) key, and unseen kernels to a layer-wise fit.
+ * Training resolves that sum into dense per-(GPU, signature) tables;
+ * every prediction evaluates it as a compiled PredictionPlan
+ * (models/prediction_plan.h), the model's only evaluator.
  */
 
 #include <cstdint>
@@ -30,7 +33,6 @@
 #include "dnn/layer.h"
 #include "gpuexec/kernel.h"
 #include "models/lw_model.h"
-#include "models/network_cache.h"
 #include "models/prediction_plan.h"
 #include "models/predictor.h"
 #include "regression/linreg.h"
@@ -79,14 +81,15 @@ class KwModel : public Predictor {
 
   std::string Name() const override { return "KW"; }
 
+  /** PlanFor(network, gpu)->EvalUs(batch); Fatal on an untrained GPU. */
   double PredictUs(const dnn::Network& network, const gpuexec::GpuSpec& gpu,
                    std::int64_t batch) const override;
 
   /**
-   * Batched prediction through compiled plans: one flat-array sweep per
-   * query, with plan resolution amortized across same-(network, GPU)
-   * runs. Bit-identical to per-query PredictUs; Fatal (like PredictUs)
-   * on an untrained GPU.
+   * Batched prediction: one plan sweep per query, with the fingerprint
+   * and plan lookup amortized across same-(network, GPU) runs.
+   * Bit-identical to per-query PredictUs; Fatal (like PredictUs) on an
+   * untrained GPU.
    */
   void PredictMany(std::span<const PredictQuery> queries,
                    std::span<double> out_us) const override;
@@ -100,16 +103,9 @@ class KwModel : public Predictor {
                                 const gpuexec::GpuSpec& gpu) const;
 
   /**
-   * Appends `layer`'s compiled terms to `plan` as one plan layer whose
-   * subtotal is scaled by the GPU calibration factor (resolved layers)
-   * and then by `extra_scale` — the IGKW nearest-GPU fallback compiles
-   * through this with its bandwidth ratio; everyone else passes 1.0.
-   * Fatal on an untrained GPU.
+   * Predicted time of one layer (case studies 2 and 3 schedule layers):
+   * a one-layer plan, compiled per call and not cached.
    */
-  void CompileLayerInto(const dnn::Layer& layer, const std::string& gpu_name,
-                        double extra_scale, PredictionPlan& plan) const;
-
-  /** Predicted time of one layer (case studies 2 and 3 schedule layers). */
   double PredictLayerUs(const dnn::Layer& layer, const std::string& gpu_name,
                         std::int64_t batch) const;
 
@@ -117,32 +113,10 @@ class KwModel : public Predictor {
   std::vector<std::string> KernelsForLayer(const dnn::Layer& layer) const;
 
   /**
-   * One kernel's contribution to a resolved layer prediction — the unit
-   * the drift monitor attributes observed e2e residuals to.
-   */
-  struct KernelTerm {
-    int cluster_id = -1;  // shared-regression id on this GPU
-    double x = 0;         // batch-scaled driver value fed into the fit
-    double us = 0;        // max(0, intercept + slope * x), pre-calibration
-  };
-
-  /**
-   * Appends the per-kernel terms of `layer` on `gpu_name` at `batch` to
-   * `out`. Returns false — appending nothing — when the layer resolves
-   * through the LW fallback or misses the mapping table entirely (no
-   * cluster to attribute to). For resolved layers the terms sum, times
-   * CalibrationFor(gpu_name), to PredictLayerUs. Fatal on an untrained
-   * GPU, like the predict path.
-   */
-  bool AppendKernelTerms(const dnn::Layer& layer, const std::string& gpu_name,
-                         std::int64_t batch,
-                         std::vector<KernelTerm>* out) const;
-
-  /**
    * Replaces the shared fit of cluster `cluster_id` on `gpu_name` with
    * `fit` — every kernel in the cluster — and rebuilds the dense
    * prediction tables (which also discards this generation's compiled
-   * plans and sid memos). Returns the number of kernel models updated;
+   * plans and signature ids). Returns the number of kernel models updated;
    * 0 means unknown GPU or cluster and leaves the model untouched.
    * The online-refit path (models/refit) is the intended caller.
    */
@@ -162,7 +136,8 @@ class KwModel : public Predictor {
    * layers resolve through the mapping table (full or reduced signature).
    * Layers that miss entirely would silently use the last-resort LW
    * fallback inside PredictUs; callers wanting observable degradation
-   * (the predictor stack) check this first.
+   * (the predictor stack) check this first. Reads the signature ids the
+   * plan cache holds for `network`, resolving them on first sight.
    */
   Coverage CoverageFor(const dnn::Network& network,
                        const std::string& gpu_name) const;
@@ -193,13 +168,14 @@ class KwModel : public Predictor {
 
  private:
   friend class ModelIo;
+  friend class IgkwModel;  // compiles nearest-GPU fallback layers
 
   /** One mapping-table kernel resolved to its fitted line. */
   struct ResolvedKernel {
     gpuexec::CostDriver driver = gpuexec::CostDriver::kOperation;
     double slope = 0;
     double intercept = 0;
-    int cluster_id = -1;  // drift attribution; not used by prediction
+    int cluster_id = -1;  // carried into plan terms for attribution
   };
 
   /** A layer signature fully resolved for one GPU. */
@@ -219,14 +195,20 @@ class KwModel : public Predictor {
   /** Dense signature id of `layer` (full, then reduced), or -1. */
   int ResolveSid(const dnn::Layer& layer) const;
 
-  /** Hot-path layer prediction from pre-resolved ids; no string work. */
-  double PredictLayerResolved(int gpu_idx, int sid, const dnn::Layer& layer,
-                              const std::string& gpu_name,
-                              std::int64_t batch) const;
+  /** Dense index of a trained GPU; Fatal on an untrained one. */
+  int GpuIndex(const std::string& gpu_name) const;
 
-  /** Compiles the whole network for one GPU (PlanFor cache misses). */
-  PredictionPlan CompilePlan(const dnn::Network& network,
-                             const std::string& gpu_name) const;
+  /** The signature ids of `network`, held by the plan cache. */
+  const std::vector<int>* SidsFor(const dnn::Network& network) const;
+
+  /**
+   * Appends `layer` (signature id `sid`) to `plan` as one plan layer
+   * whose subtotal is scaled by the GPU's calibration factor (resolved
+   * layers) and then by `extra_scale` — the IGKW nearest-GPU fallback
+   * passes its bandwidth ratio; everyone else passes 1.0.
+   */
+  void CompileLayerInto(const dnn::Layer& layer, int sid, int gpu_idx,
+                        double extra_scale, PredictionPlan& plan) const;
 
   /** PlanFor with the network fingerprint already computed. */
   const PredictionPlan* PlanForFp(const dnn::Network& network,
@@ -253,9 +235,7 @@ class KwModel : public Predictor {
   std::unordered_map<std::string, int> sig_index_;
   std::unordered_map<std::string, int> reduced_index_;
   std::vector<std::vector<ResolvedLayer>> resolved_;  // [gpu][sid]
-  // network name -> per-layer sids, filled lazily on prediction.
-  NetworkSidCache predict_cache_;
-  // (network, gpu) -> compiled plan, filled lazily by PlanFor.
+  // network -> signature ids + per-GPU compiled plans, filled lazily.
   PlanCache plan_cache_;
 };
 

@@ -327,6 +327,13 @@ StatusOr<KwModel> ModelIo::LoadKw(const std::string& directory) {
       if (!cluster_id.ok()) {
         return AtField(table, r, "cluster_id", cluster_id.status());
       }
+      // -1 marks layer-wise fallback terms in plans and attribution; a
+      // trained kernel always belongs to a real cluster.
+      if (*cluster_id < 0) {
+        return AtField(table, r, "cluster_id",
+                       OutOfRangeError(Format(
+                           "cluster id %d must be non-negative", *cluster_id)));
+      }
       km.cluster_id = *cluster_id;
       GP_RETURN_IF_ERROR(
           ReadFinite(table, r, solo_r2, "solo_r2", &km.solo_r2));

@@ -1,7 +1,8 @@
 #include "models/prediction_plan.h"
 
-#include <algorithm>
+#include <array>
 #include <sstream>
+#include <variant>
 
 #include "obs/metrics_registry.h"
 
@@ -39,7 +40,78 @@ std::string SlotKeyString(const PlanCache::SlotKey& slot) {
   return out.str();
 }
 
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/** One odd multiplier per field position of a layer word. */
+constexpr std::array<std::uint64_t, 64> kFieldKeys = [] {
+  std::array<std::uint64_t, 64> keys{};
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = SplitMix64(i) | 1;
+  return keys;
+}();
+
+/**
+ * A layer's fingerprint word: the sum of each field times its
+ * position's key (multilinear hashing; positions past the table wrap).
+ * The products are independent of each other, so a layer hashes in a
+ * few cycles — the fingerprint runs on every PredictUs.
+ */
+class LayerWord {
+ public:
+  void Add(std::int64_t value) {
+    word_ += static_cast<std::uint64_t>(value) *
+             kFieldKeys[position_++ % kFieldKeys.size()];
+  }
+  void Add(const dnn::TensorShape& shape) {
+    Add(shape.c);
+    Add(shape.h);
+    Add(shape.w);
+  }
+  std::uint64_t word() const { return word_; }
+
+ private:
+  std::size_t position_ = 0;
+  std::uint64_t word_ = 0;
+};
+
 }  // namespace
+
+std::uint64_t NetworkFingerprint(const dnn::Network& network) {
+  std::uint64_t hash = network.layers().size();
+  for (const dnn::Layer& layer : network.layers()) {
+    LayerWord word;
+    word.Add(static_cast<std::int64_t>(layer.kind));
+    word.Add(layer.output);
+    for (const dnn::TensorShape& input : layer.inputs) word.Add(input);
+    // The parameters dnn::LayerSignature encodes, plus the ones only the
+    // cost drivers read (conv channels, linear features).
+    if (const auto* conv = std::get_if<dnn::ConvParams>(&layer.params)) {
+      for (std::int64_t v :
+           {conv->in_channels, conv->out_channels, conv->kernel_h,
+            conv->kernel_w, conv->stride_h, conv->stride_w, conv->pad_h,
+            conv->pad_w, conv->groups}) {
+        word.Add(v);
+      }
+      word.Add(static_cast<std::int64_t>(conv->epilogue));
+    } else if (const auto* pool = std::get_if<dnn::PoolParams>(&layer.params)) {
+      for (std::int64_t v : {pool->kernel, pool->stride, pool->pad}) {
+        word.Add(v);
+      }
+    } else if (const auto* mm = std::get_if<dnn::MatMulParams>(&layer.params)) {
+      for (std::int64_t v : {mm->batch, mm->m, mm->n, mm->k}) word.Add(v);
+    } else if (const auto* fc = std::get_if<dnn::LinearParams>(&layer.params)) {
+      for (std::int64_t v : {fc->in_features, fc->out_features}) word.Add(v);
+    }
+    // An odd multiply is a bijection, so each step keeps distinct words
+    // on distinct states; the final mix spreads the bits.
+    hash = (hash ^ word.word()) * 0x9e3779b97f4a7c15ULL;
+  }
+  return SplitMix64(hash);
+}
 
 void PredictionPlan::BeginLayer(double scale_a, double scale_b,
                                 std::string label) {
@@ -60,33 +132,8 @@ void PredictionPlan::AddTerm(std::int64_t per_sample_value, double slope,
 }
 
 double PredictionPlan::EvalUs(std::int64_t batch) const {
-  const std::int64_t* value = value_.data();
-  const double* slope = slope_.data();
-  const double* intercept = intercept_.data();
-  double total = 0.0;
-  std::uint32_t term = 0;
-  const std::size_t layers = layer_end_.size();
-  for (std::size_t i = 0; i < layers; ++i) {
-    const std::uint32_t end = layer_end_[i];
-    double subtotal = 0.0;
-    for (; term < end; ++term) {
-      // Same float op order as Kw/Igkw PredictLayerResolved: the driver
-      // value is an int64 product converted once, the fit is evaluated
-      // as intercept + slope * x, negatives clamp to zero.
-      const double x = static_cast<double>(batch * value[term]);
-      subtotal += std::max(0.0, intercept[term] + slope[term] * x);
-    }
-    total += subtotal * scale_a_[i] * scale_b_[i];
-  }
-  return total;
-}
-
-void PredictionPlan::EvalMany(std::span<const std::int64_t> batches,
-                              std::span<double> out_us) const {
-  GP_CHECK_EQ(batches.size(), out_us.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    out_us[i] = EvalUs(batches[i]);
-  }
+  PlanVisitor none;
+  return Walk(batch, none);
 }
 
 PlanCache::PlanCache(const PlanCache& other) {
@@ -107,28 +154,38 @@ PlanCache& PlanCache::operator=(const PlanCache& other) {
   return *this;
 }
 
-const PredictionPlan* PlanCache::FindLocked(const std::string& name,
-                                            std::uint64_t fingerprint,
-                                            const SlotKey& slot) const {
+const PlanCache::Entry* PlanCache::FindLocked(const std::string& name,
+                                              std::uint64_t fingerprint) const {
   auto it = entries_.find(name);
   if (it == entries_.end() || it->second.fingerprint != fingerprint) {
     return nullptr;
   }
-  for (const auto& [key, plan] : it->second.slots) {
+  return &it->second;
+}
+
+const PredictionPlan* PlanCache::FindPlanLocked(const std::string& name,
+                                                std::uint64_t fingerprint,
+                                                const SlotKey& slot) const {
+  const Entry* entry = FindLocked(name, fingerprint);
+  if (entry == nullptr) return nullptr;
+  for (const auto& [key, plan] : entry->slots) {
     if (key == slot) return plan.get();
   }
   return nullptr;
 }
 
-const PredictionPlan* PlanCache::InsertLocked(
-    const std::string& name, std::uint64_t fingerprint, const SlotKey& slot,
-    std::shared_ptr<const PredictionPlan> plan) const {
+const std::vector<int>* PlanCache::InstallSidsLocked(
+    const std::string& name, std::uint64_t fingerprint,
+    std::vector<int> sids) const {
   Entry& entry = entries_[name];
-  if (!entry.slots.empty() && entry.fingerprint != fingerprint) {
+  if (entry.sids != nullptr) {
+    // A concurrent resolve won the race; keep the incumbent so pointers
+    // handed out under the reader lock stay canonical.
+    if (entry.fingerprint == fingerprint) return entry.sids.get();
     // The name now denotes a different architecture: retire the stale
-    // plans (raw pointers handed out earlier must stay valid) and start
-    // a fresh slot list.
+    // ids and plans (raw pointers handed out earlier must stay valid).
     PlanMetrics::Get().invalidations.Increment(entry.slots.size());
+    retired_.push_back(std::move(entry.sids));
     for (auto& [key, old] : entry.slots) {
       (void)key;
       retired_.push_back(std::move(old));
@@ -136,20 +193,38 @@ const PredictionPlan* PlanCache::InsertLocked(
     entry.slots.clear();
   }
   entry.fingerprint = fingerprint;
-  // A concurrent compile may have installed this slot while we were
-  // compiling outside the lock; keep the incumbent so earlier raw
-  // pointers remain canonical, and drop our duplicate.
-  for (const auto& [key, incumbent] : entry.slots) {
-    if (key == slot) return incumbent.get();
+  entry.sids = std::make_shared<const std::vector<int>>(std::move(sids));
+  return entry.sids.get();
+}
+
+const PredictionPlan* PlanCache::InsertLocked(
+    const std::string& name, std::uint64_t fingerprint, const SlotKey& slot,
+    std::shared_ptr<const PredictionPlan> plan) const {
+  const PredictionPlan* installed = plan.get();
+  auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.fingerprint != fingerprint) {
+    // The name was reused concurrently since this plan's ids were
+    // resolved: serve the plan uncached, parked so the pointer lives.
+    retired_.push_back(std::move(plan));
+  } else {
+    // A concurrent compile may have installed this slot meanwhile; keep
+    // the incumbent so earlier raw pointers remain canonical.
+    for (const auto& [key, incumbent] : it->second.slots) {
+      if (key == slot) return incumbent.get();
+    }
+    it->second.slots.emplace_back(slot, std::move(plan));
   }
-  entry.slots.emplace_back(slot, std::move(plan));
-  const PredictionPlan* installed = entry.slots.back().second.get();
   PlanMetrics::Get().compiles.Increment();
-  LogDebug("prediction plan compiled",
-           {{"network", name},
-            {"slot", SlotKeyString(slot)},
-            {"layers", std::to_string(installed->layer_count())},
-            {"terms", std::to_string(installed->term_count())}});
+  // The field strings cost more than the rest of an insert; cold
+  // PredictUs compiles a plan per (network, GPU), so build them only
+  // when the line will be emitted.
+  if (MinLogLevel() <= LogLevel::kDebug) {
+    LogDebug("prediction plan compiled",
+             {{"network", name},
+              {"slot", SlotKeyString(slot)},
+              {"layers", std::to_string(installed->layer_count())},
+              {"terms", std::to_string(installed->term_count())}});
+  }
   return installed;
 }
 

@@ -183,18 +183,25 @@ void LifecycleController::Observe(const dnn::Network& network,
   const double ratio = observed_us / predicted_us;
   const double log_ratio = std::log(ratio);
 
-  std::vector<KwModel::KernelTerm> terms;
-  for (const dnn::Layer& layer : network.layers()) {
-    snapshot->AppendKernelTerms(layer, gpu, batch, &terms);
-  }
-  // One residual per distinct cluster per job: a layer list that uses a
+  // Every kernel term of the cached plan feeds the reservoir, but each
+  // distinct cluster gets one residual per job: a layer list that uses a
   // cluster many times must not out-vote single-use clusters.
-  std::set<int> clusters;
-  for (const KwModel::KernelTerm& term : terms) {
-    clusters.insert(term.cluster_id);
-    reservoir_.Add(gpu, term.cluster_id, term.x, term.us * ratio);
-  }
-  for (int cluster_id : clusters) {
+  struct Feed : PlanVisitor {
+    RefitReservoir* reservoir;
+    const std::string* gpu;
+    double ratio;
+    std::set<int> clusters;
+    void Term(const PlanTerm& term) {
+      if (term.cluster_id < 0) return;  // layer-wise fallback: no cluster
+      clusters.insert(term.cluster_id);
+      reservoir->Add(*gpu, term.cluster_id, term.x, term.us * ratio);
+    }
+  };
+  Feed feed{{}, &reservoir_, &gpu, ratio, {}};
+  gpuexec::GpuSpec spec;
+  spec.name = gpu;
+  snapshot->PlanFor(network, spec)->Walk(batch, feed);
+  for (int cluster_id : feed.clusters) {
     monitor_.Observe(gpu, cluster_id, log_ratio);
   }
 

@@ -167,7 +167,8 @@ class LifecycleController {
   /**
    * Feeds one completed job. Attributes the residual to the kernel
    * clusters the serving snapshot used for this (network, GPU, batch),
-   * stores a shadow-scoring sample, and during the canary watch
+   * read off the snapshot's cached plan (layer-wise fallback terms have
+   * no cluster and are skipped), stores a shadow-scoring sample, and during the canary watch
    * accumulates post-promotion residuals. Jobs with non-finite or
    * non-positive predicted/observed times are ignored. `network` is
    * borrowed and must stay alive for `shadow_window` more observations.

@@ -123,35 +123,6 @@ void RecordSimulation(const ServingResult& result,
 
 }  // namespace
 
-ServingCounters SnapshotServingCounters() {
-  const ServingMetrics& metrics = ServingMetrics::Get();
-  ServingCounters counters;
-  counters.simulations = metrics.simulations.Value();
-  counters.jobs_arrived = metrics.jobs_arrived.Value();
-  counters.jobs_completed = metrics.jobs_completed.Value();
-  counters.jobs_dropped = metrics.jobs_dropped.Value();
-  counters.jobs_shed = metrics.jobs_shed.Value();
-  counters.retries = metrics.retries.Value();
-  counters.breaker_opens = metrics.breaker_opens.Value();
-  return counters;
-}
-
-void ResetServingCounters() {
-  ServingMetrics& metrics = ServingMetrics::Get();
-  metrics.simulations.Reset();
-  metrics.jobs_arrived.Reset();
-  metrics.jobs_completed.Reset();
-  metrics.jobs_dropped.Reset();
-  metrics.jobs_shed.Reset();
-  metrics.retries.Reset();
-  metrics.breaker_opens.Reset();
-  metrics.deadline_misses.Reset();
-  metrics.hedges_issued.Reset();
-  metrics.hedges_won.Reset();
-  metrics.retries_suppressed.Reset();
-  metrics.latency_ms.Reset();
-}
-
 std::string DispatchPolicyName(DispatchPolicy policy) {
   switch (policy) {
     case DispatchPolicy::kRoundRobin: return "round-robin";

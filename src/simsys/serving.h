@@ -262,43 +262,6 @@ struct ServingGridCell {
     obs::ChromeTraceWriter* trace_out = nullptr,
     obs::FlightTimeline* timeline_out = nullptr);
 
-/**
- * Cumulative process-wide serving observability counters, aggregated
- * across every SimulateServing call (including concurrent grid runs).
- * Counters never influence simulation results — they exist so a long
- * sweep can be monitored cheaply.
- *
- * DEPRECATED: this struct and the Snapshot/Reset pair below are thin
- * compatibility shims over the `gpuperf_serving_*` families in
- * obs::MetricsRegistry::Global() — new code should read the registry
- * directly (it additionally has `gpuperf_serving_jobs_arrived`,
- * `gpuperf_serving_deadline_misses`, and the
- * `gpuperf_serving_latency_ms` histogram). The shim is kept
- * API-compatible for one release and will then be removed.
- */
-struct ServingCounters {
-  std::uint64_t simulations = 0;    // successful SimulateServing returns
-  std::uint64_t jobs_arrived = 0;   // completed + dropped + shed
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_dropped = 0;
-  std::uint64_t jobs_shed = 0;      // admission-control rejections
-  std::uint64_t retries = 0;
-  std::uint64_t breaker_opens = 0;  // circuit-breaker trips
-};
-
-/**
- * DEPRECATED shim: reads the `gpuperf_serving_*` registry counters.
- * Each field is individually atomic; quiesce the pool before relying
- * on cross-field invariants (grid tests do).
- */
-ServingCounters SnapshotServingCounters();
-
-/**
- * DEPRECATED shim: zeroes the `gpuperf_serving_*` registry counters
- * (tests and sweep boundaries). Leaves other registry families alone.
- */
-void ResetServingCounters();
-
 }  // namespace gpuperf::simsys
 
 #endif  // GPUPERF_SIMSYS_SERVING_H_

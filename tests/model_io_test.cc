@@ -245,6 +245,13 @@ TEST(ModelIoCorruptionMatrixTest, EveryCorruptionIsANonOkStatus) {
          });
        },
        "cluster_id"},
+      {"negative_cluster_id",
+       [](const std::string& dir) {
+         EditFile(dir, "kernel_models.csv", [](std::vector<std::string>* l) {
+           SetField(l, 1, 5, "-1");
+         });
+       },
+       "cluster id -1 must be non-negative"},
       {"unknown_driver",
        [](const std::string& dir) {
          EditFile(dir, "kernel_models.csv", [](std::vector<std::string>* l) {

@@ -26,6 +26,7 @@
 #include "models/bundle_registry.h"
 #include "models/kw_model.h"
 #include "models/model_io.h"
+#include "models/prediction_plan.h"
 #include "test_support.h"
 #include "zoo/zoo.h"
 
@@ -59,6 +60,24 @@ CanaryOptions Probes() {
   options.batch = 16;
   options.tolerance = 0.5;
   return options;
+}
+
+/**
+ * The kernel terms of `model`'s cached plan for (`network`, `gpu`) at
+ * kBatch: what LifecycleController::Observe feeds the reservoir
+ * (layer-wise fallback terms carry no cluster and are skipped).
+ */
+std::vector<PlanTerm> KernelTerms(const KwModel& model,
+                                  const dnn::Network& network,
+                                  const char* gpu) {
+  struct Collect : PlanVisitor {
+    std::vector<PlanTerm> terms;
+    void Term(const PlanTerm& term) {
+      if (term.cluster_id >= 0) terms.push_back(term);
+    }
+  } collect;
+  model.PlanFor(network, gpuexec::GpuByName(gpu))->Walk(kBatch, collect);
+  return collect.terms;
 }
 
 /** A few campaign networks fully covered on both test GPUs. */
@@ -137,13 +156,9 @@ TEST(RefitTest, PatchesOnlyTheTrippedClusterAndGpu) {
 
   // Gather real kernel terms and pick the cluster with the most
   // distinct x values (it produces the best-conditioned refit).
-  std::map<int, std::vector<KwModel::KernelTerm>> by_cluster;
+  std::map<int, std::vector<PlanTerm>> by_cluster;
   for (const dnn::Network* network : networks) {
-    std::vector<KwModel::KernelTerm> terms;
-    for (const dnn::Layer& layer : network->layers()) {
-      golden->AppendKernelTerms(layer, kDriftGpu, kBatch, &terms);
-    }
-    for (const KwModel::KernelTerm& term : terms) {
+    for (const PlanTerm& term : KernelTerms(*golden, *network, kDriftGpu)) {
       by_cluster[term.cluster_id].push_back(term);
     }
   }
@@ -151,7 +166,7 @@ TEST(RefitTest, PatchesOnlyTheTrippedClusterAndGpu) {
   std::size_t best = 0;
   for (const auto& [cluster_id, terms] : by_cluster) {
     std::set<double> xs;
-    for (const KwModel::KernelTerm& term : terms) xs.insert(term.x);
+    for (const PlanTerm& term : terms) xs.insert(term.x);
     if (xs.size() > best) {
       best = xs.size();
       target = cluster_id;
@@ -162,7 +177,7 @@ TEST(RefitTest, PatchesOnlyTheTrippedClusterAndGpu) {
 
   // The drifted truth: every sample of the target cluster runs 1.25x.
   RefitReservoir reservoir(256);
-  for (const KwModel::KernelTerm& term : by_cluster[target]) {
+  for (const PlanTerm& term : by_cluster[target]) {
     reservoir.Add(kDriftGpu, target, term.x, term.us * 1.25);
   }
 
@@ -181,11 +196,10 @@ TEST(RefitTest, PatchesOnlyTheTrippedClusterAndGpu) {
   ASSERT_TRUE(patched.ok()) << patched.status().message();
   bool target_changed = false;
   for (const dnn::Network* network : networks) {
-    std::vector<KwModel::KernelTerm> before, after;
-    for (const dnn::Layer& layer : network->layers()) {
-      golden->AppendKernelTerms(layer, kDriftGpu, kBatch, &before);
-      patched->AppendKernelTerms(layer, kDriftGpu, kBatch, &after);
-    }
+    const std::vector<PlanTerm> before =
+        KernelTerms(*golden, *network, kDriftGpu);
+    const std::vector<PlanTerm> after =
+        KernelTerms(*patched, *network, kDriftGpu);
     ASSERT_EQ(before.size(), after.size());
     for (std::size_t i = 0; i < before.size(); ++i) {
       if (before[i].cluster_id == target) {
@@ -198,11 +212,10 @@ TEST(RefitTest, PatchesOnlyTheTrippedClusterAndGpu) {
         EXPECT_EQ(after[i].us, before[i].us) << "untripped cluster moved";
       }
     }
-    std::vector<KwModel::KernelTerm> quiet_before, quiet_after;
-    for (const dnn::Layer& layer : network->layers()) {
-      golden->AppendKernelTerms(layer, kQuietGpu, kBatch, &quiet_before);
-      patched->AppendKernelTerms(layer, kQuietGpu, kBatch, &quiet_after);
-    }
+    const std::vector<PlanTerm> quiet_before =
+        KernelTerms(*golden, *network, kQuietGpu);
+    const std::vector<PlanTerm> quiet_after =
+        KernelTerms(*patched, *network, kQuietGpu);
     ASSERT_EQ(quiet_before.size(), quiet_after.size());
     for (std::size_t i = 0; i < quiet_before.size(); ++i) {
       EXPECT_EQ(quiet_after[i].us, quiet_before[i].us) << "quiet GPU moved";

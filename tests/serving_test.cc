@@ -2,15 +2,50 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
 #include "gpuexec/oracle.h"
+#include "obs/metrics_registry.h"
 
 namespace gpuperf::simsys {
 namespace {
+
+/**
+ * What the serving registry counters gained since construction, so a
+ * test asserts on its own simulations only.
+ */
+class ServingCounterDeltas {
+ public:
+  ServingCounterDeltas() {
+    for (const char* name :
+         {"gpuperf_serving_simulations", "gpuperf_serving_jobs_arrived",
+          "gpuperf_serving_jobs_completed", "gpuperf_serving_jobs_dropped",
+          "gpuperf_serving_jobs_shed", "gpuperf_serving_retries",
+          "gpuperf_serving_breaker_opens"}) {
+      start_[name] = Read(name);
+    }
+  }
+
+  /** The delta of the counter `gpuperf_serving_<name>`. */
+  std::uint64_t operator[](const std::string& name) const {
+    const std::string metric = kPrefix + name;
+    return Read(metric) - start_.at(metric);
+  }
+
+ private:
+  static constexpr char kPrefix[] = "gpuperf_serving_";
+
+  static std::uint64_t Read(const std::string& metric) {
+    return obs::MetricsRegistry::Global().counter(metric).Value();
+  }
+
+  std::map<std::string, std::uint64_t> start_;
+};
 
 // Two job types on two GPUs; gpu 0 is fast for job 0, gpu 1 for job 1.
 std::vector<std::vector<double>> AffinityTimes() {
@@ -344,18 +379,17 @@ TEST(ServingTest, GridReportsPerCellErrorsWithoutPoisoningTheRest) {
 }
 
 TEST(ServingTest, CountersAccumulateAcrossSimulations) {
-  ResetServingCounters();
+  const ServingCounterDeltas counters;
   ServingResult result =
       SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1},
                       FaultyConfig(DispatchPolicy::kRoundRobin, 40))
           .value();
-  ServingCounters after_one = SnapshotServingCounters();
-  EXPECT_EQ(after_one.simulations, 1u);
-  EXPECT_EQ(after_one.jobs_completed,
+  EXPECT_EQ(counters["simulations"], 1u);
+  EXPECT_EQ(counters["jobs_completed"],
             static_cast<std::uint64_t>(result.completed));
-  EXPECT_EQ(after_one.jobs_dropped,
+  EXPECT_EQ(counters["jobs_dropped"],
             static_cast<std::uint64_t>(result.dropped));
-  EXPECT_EQ(after_one.retries, static_cast<std::uint64_t>(result.retries));
+  EXPECT_EQ(counters["retries"], static_cast<std::uint64_t>(result.retries));
 
   // A grid of 4 cells adds 4 more simulations, even when run in parallel.
   const std::vector<ServingGridCell> cells = {
@@ -365,9 +399,7 @@ TEST(ServingTest, CountersAccumulateAcrossSimulations) {
       {DispatchPolicy::kLeastOutstanding, 2}};
   (void)SimulateServingGrid(AffinityTimes(), AffinityTimes(), {1, 1},
                             Config(DispatchPolicy::kRoundRobin), cells, 4);
-  EXPECT_EQ(SnapshotServingCounters().simulations, 5u);
-  ResetServingCounters();
-  EXPECT_EQ(SnapshotServingCounters().simulations, 0u);
+  EXPECT_EQ(counters["simulations"], 5u);
 }
 
 // --- Overload resilience: admission control, SLO deadlines, breakers.
@@ -565,56 +597,50 @@ TEST(ServingTest, OverloadGridIsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(ServingTest, ShedJobsCountInGlobalCounters) {
-  ResetServingCounters();
+  const ServingCounterDeltas counters;
   ServingConfig config = OverloadConfig(DispatchPolicy::kLeastOutstanding);
   ServingResult result =
       SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1}, config)
           .value();
-  ServingCounters counters = SnapshotServingCounters();
-  EXPECT_EQ(counters.jobs_shed,
+  EXPECT_EQ(counters["jobs_shed"],
             static_cast<std::uint64_t>(result.shed_on_admission));
-  EXPECT_EQ(counters.breaker_opens,
+  EXPECT_EQ(counters["breaker_opens"],
             static_cast<std::uint64_t>(result.breaker_opens));
-  ResetServingCounters();
 }
 
 TEST(ServingTest, EveryArrivalIsAccountedFor) {
   // The observability smoke-check invariant: every job that arrives is
   // either completed, dropped, or shed — under faults, retries, bounded
   // queues, and breakers all at once.
-  ResetServingCounters();
+  const ServingCounterDeltas counters;
   ServingConfig config = OverloadConfig(DispatchPolicy::kLeastOutstanding);
   ServingResult result =
       SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1}, config)
           .value();
-  ServingCounters counters = SnapshotServingCounters();
-  EXPECT_GT(counters.jobs_arrived, 0u);
-  EXPECT_EQ(counters.jobs_arrived, counters.jobs_completed +
-                                       counters.jobs_dropped +
-                                       counters.jobs_shed);
-  EXPECT_EQ(counters.jobs_arrived,
+  EXPECT_GT(counters["jobs_arrived"], 0u);
+  EXPECT_EQ(counters["jobs_arrived"], counters["jobs_completed"] +
+                                          counters["jobs_dropped"] +
+                                          counters["jobs_shed"]);
+  EXPECT_EQ(counters["jobs_arrived"],
             static_cast<std::uint64_t>(result.completed + result.dropped +
                                        result.shed_on_admission));
-  ResetServingCounters();
 }
 
 // Runs one simulation and asserts the conservation invariant both on
 // the global counters and the per-run result: every arrival is exactly
 // one of completed / dropped / shed.
 ServingResult RunAndCheckAccounting(const ServingConfig& config) {
-  ResetServingCounters();
+  const ServingCounterDeltas counters;
   ServingResult result =
       SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1}, config)
           .value();
-  ServingCounters counters = SnapshotServingCounters();
-  EXPECT_GT(counters.jobs_arrived, 0u);
-  EXPECT_EQ(counters.jobs_arrived, counters.jobs_completed +
-                                       counters.jobs_dropped +
-                                       counters.jobs_shed);
-  EXPECT_EQ(counters.jobs_arrived,
+  EXPECT_GT(counters["jobs_arrived"], 0u);
+  EXPECT_EQ(counters["jobs_arrived"], counters["jobs_completed"] +
+                                          counters["jobs_dropped"] +
+                                          counters["jobs_shed"]);
+  EXPECT_EQ(counters["jobs_arrived"],
             static_cast<std::uint64_t>(result.completed + result.dropped +
                                        result.shed_on_admission));
-  ResetServingCounters();
   return result;
 }
 
@@ -799,14 +825,12 @@ TEST(ServingTest, HedgingUnderFaultsKeepsAccounting) {
   for (auto& row : optimistic) {
     for (double& v : row) v *= 0.5;
   }
-  ResetServingCounters();
+  const ServingCounterDeltas counters;
   ServingResult result =
       SimulateServing(AffinityTimes(), optimistic, {1, 1}, config).value();
-  ServingCounters counters = SnapshotServingCounters();
-  EXPECT_EQ(counters.jobs_arrived, counters.jobs_completed +
-                                       counters.jobs_dropped +
-                                       counters.jobs_shed);
-  ResetServingCounters();
+  EXPECT_EQ(counters["jobs_arrived"], counters["jobs_completed"] +
+                                          counters["jobs_dropped"] +
+                                          counters["jobs_shed"]);
   EXPECT_GT(result.hedges_issued, 0);
 }
 

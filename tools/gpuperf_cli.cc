@@ -1456,10 +1456,12 @@ int CmdChaos(const Args& args) {
                    "done", "drop", "shed", "retry", "suppr", "hedge", "won",
                    "trips", "open", "avail", "check"});
   std::string violation;  // first invariant violation, already located
+  const obs::Counter& arrivals =
+      obs::MetricsRegistry::Global().counter("gpuperf_serving_jobs_arrived");
   for (const ChaosScenario* scenario : scenarios) {
     simsys::ServingConfig base_config = resilient;
     scenario->apply(duration, &base_config);
-    const simsys::ServingCounters before = simsys::SnapshotServingCounters();
+    const std::uint64_t arrived_before = arrivals.Value();
     const std::vector<StatusOr<simsys::ServingResult>> grid =
         simsys::SimulateServingGrid(
             truth, predicted, mix, base_config, cells, jobs,
@@ -1505,11 +1507,10 @@ int CmdChaos(const Args& args) {
       }
     }
     // Accounting identity, cross-checked against the process-wide
-    // serving counters: every arrival of this scenario's grid completed,
-    // dropped, or was shed — nothing vanished.
-    const simsys::ServingCounters after = simsys::SnapshotServingCounters();
+    // registry's arrivals delta: every arrival of this scenario's grid
+    // completed, dropped, or was shed — nothing vanished.
     const long long arrived =
-        static_cast<long long>(after.jobs_arrived - before.jobs_arrived);
+        static_cast<long long>(arrivals.Value() - arrived_before);
     if (arrived != sum_completed + sum_dropped + sum_shed &&
         violation.empty()) {
       violation = Format(
