@@ -1,28 +1,8 @@
 #include "common/circuit_breaker.h"
 
-#include <atomic>
-
 #include "common/logging.h"
 
 namespace gpuperf {
-
-namespace {
-
-// Not a counter: an install-once observer pointer read on every
-// transition, possibly from many grid threads at once.
-std::atomic<BreakerTransitionHook> g_transition_hook{nullptr};
-
-void NotifyTransition(BreakerState from, BreakerState to) {
-  const BreakerTransitionHook hook =
-      g_transition_hook.load(std::memory_order_acquire);
-  if (hook != nullptr) hook(from, to);
-}
-
-}  // namespace
-
-void SetBreakerTransitionHook(BreakerTransitionHook hook) {
-  g_transition_hook.store(hook, std::memory_order_release);
-}
 
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
@@ -42,18 +22,16 @@ void CircuitBreaker::Advance(double now_us) {
       now_us >= open_since_us_ + policy_.cooldown_ms * 1e3) {
     state_ = BreakerState::kHalfOpen;
     probes_in_flight_ = 0;
-    NotifyTransition(BreakerState::kOpen, BreakerState::kHalfOpen);
+    ++half_opens_;
   }
 }
 
 void CircuitBreaker::TripOpen(double now_us) {
-  const BreakerState from = state_;
   state_ = BreakerState::kOpen;
   open_since_us_ = now_us;
   consecutive_failures_ = 0;
   probes_in_flight_ = 0;
   ++opens_;
-  NotifyTransition(from, BreakerState::kOpen);
 }
 
 bool CircuitBreaker::AllowsAt(double now_us) {
@@ -87,7 +65,7 @@ void CircuitBreaker::OnSuccess(double now_us) {
       state_ = BreakerState::kClosed;
       consecutive_failures_ = 0;
       probes_in_flight_ = 0;
-      NotifyTransition(BreakerState::kHalfOpen, BreakerState::kClosed);
+      ++closes_;
       break;
     case BreakerState::kOpen:
       // A job dispatched before the trip finished while open; the

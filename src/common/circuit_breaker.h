@@ -36,18 +36,6 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 /** Stable state name: "closed", "open", "half-open". */
 const char* BreakerStateName(BreakerState state);
 
-/**
- * Process-wide observer of breaker state transitions, called as
- * (from, to) on every trip/half-open/close across all breakers. The
- * sanctioned installer is obs::InstallBreakerMetrics(), which exports
- * the transitions as `gpuperf_breaker_*` counters; the indirection
- * exists because common/ cannot depend on obs/. Install once before
- * breakers run (the pointer is atomic, the hook must be thread-safe,
- * and it must never throw or influence breaker behaviour).
- */
-using BreakerTransitionHook = void (*)(BreakerState from, BreakerState to);
-void SetBreakerTransitionHook(BreakerTransitionHook hook);
-
 /** One resource's breaker, advanced by simulated-time events. */
 class CircuitBreaker {
  public:
@@ -84,8 +72,13 @@ class CircuitBreaker {
   /** The state after applying any due cooldown expiry at `now_us`. */
   BreakerState StateAt(double now_us);
 
-  /** How many times the breaker tripped open. */
+  // Transition counts: trips open, cooldown expiries (open ->
+  // half-open) and probe successes (half-open -> closed). The serving
+  // simulator folds them into the gpuperf_breaker_* counters once per
+  // simulation.
   std::int64_t opens() const { return opens_; }
+  std::int64_t half_opens() const { return half_opens_; }
+  std::int64_t closes() const { return closes_; }
 
  private:
   void Advance(double now_us);  // open -> half-open when cooldown elapsed
@@ -97,6 +90,8 @@ class CircuitBreaker {
   int probes_in_flight_ = 0;   // half-open probe slots claimed
   double open_since_us_ = 0;
   std::int64_t opens_ = 0;
+  std::int64_t half_opens_ = 0;
+  std::int64_t closes_ = 0;
 };
 
 }  // namespace gpuperf

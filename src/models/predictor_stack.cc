@@ -3,6 +3,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/metrics_registry.h"
+
 namespace gpuperf::models {
 namespace {
 
@@ -39,13 +41,6 @@ const char* PredictorTierName(PredictorTier tier) {
   return "";
 }
 
-double PredictorStackCounters::DegradedFraction() const {
-  const std::uint64_t answered = kw_hits + lw_fallbacks + e2e_fallbacks;
-  if (answered == 0) return 0.0;
-  return static_cast<double>(lw_fallbacks + e2e_fallbacks) /
-         static_cast<double>(answered);
-}
-
 void PredictorStack::SetKw(KwModel kw) {
   kw_ = std::make_shared<const KwModel>(std::move(kw));
 }
@@ -72,24 +67,20 @@ StatusOr<double> PredictorStack::TryPredictUs(const dnn::Network& network,
   if (tier != nullptr) *tier = PredictorTier::kNone;
   PredictorMetrics& global = PredictorMetrics::Get();
   if (kw_ != nullptr && kw_->CoverageFor(network, gpu.name).Full()) {
-    kw_hits_.Increment();
     global.kw_hits.Increment();
     if (tier != nullptr) *tier = PredictorTier::kKw;
     return kw_->PredictUs(network, gpu, batch);
   }
   if (lw_.has_value() && lw_gpus_.count(gpu.name) > 0) {
-    lw_fallbacks_.Increment();
     global.lw_fallbacks.Increment();
     if (tier != nullptr) *tier = PredictorTier::kLw;
     return lw_->PredictUs(network, gpu, batch);
   }
   if (e2e_.has_value() && e2e_->TryFitFor(gpu.name) != nullptr) {
-    e2e_fallbacks_.Increment();
     global.e2e_fallbacks.Increment();
     if (tier != nullptr) *tier = PredictorTier::kE2e;
     return e2e_->PredictUs(network, gpu, batch);
   }
-  unanswered_.Increment();
   global.unanswered.Increment();
   return FailedPreconditionError(
       "no predictor tier covers network '" + network.name() + "' on GPU '" +
@@ -181,38 +172,12 @@ void PredictorStack::PredictManySwept(std::span<const PredictQuery> queries,
   const std::uint64_t e2e_n = tally[static_cast<int>(PredictorTier::kE2e)];
   const std::uint64_t none_n = tally[static_cast<int>(PredictorTier::kNone)];
   if (kw_n > 0) {
-    kw_hits_.Increment(kw_n);
     global.kw_hits.Increment(kw_n);
     internal::CountPlanQueries(kw_n);
   }
-  if (lw_n > 0) {
-    lw_fallbacks_.Increment(lw_n);
-    global.lw_fallbacks.Increment(lw_n);
-  }
-  if (e2e_n > 0) {
-    e2e_fallbacks_.Increment(e2e_n);
-    global.e2e_fallbacks.Increment(e2e_n);
-  }
-  if (none_n > 0) {
-    unanswered_.Increment(none_n);
-    global.unanswered.Increment(none_n);
-  }
-}
-
-PredictorStackCounters PredictorStack::counters() const {
-  PredictorStackCounters counters;
-  counters.kw_hits = kw_hits_.Value();
-  counters.lw_fallbacks = lw_fallbacks_.Value();
-  counters.e2e_fallbacks = e2e_fallbacks_.Value();
-  counters.unanswered = unanswered_.Value();
-  return counters;
-}
-
-void PredictorStack::ResetCounters() {
-  kw_hits_.Reset();
-  lw_fallbacks_.Reset();
-  e2e_fallbacks_.Reset();
-  unanswered_.Reset();
+  if (lw_n > 0) global.lw_fallbacks.Increment(lw_n);
+  if (e2e_n > 0) global.e2e_fallbacks.Increment(e2e_n);
+  if (none_n > 0) global.unanswered.Increment(none_n);
 }
 
 }  // namespace gpuperf::models

@@ -11,9 +11,11 @@
  * trained for, or a bundle that failed to load entirely. Habitat
  * (arXiv:2102.00527) frames this as the central deployment problem — a
  * predictor must degrade, not die. The stack answers from the most
- * accurate tier whose trained scope covers the query and exposes per-tier
- * hit/fallback counters so operators can observe how often they are
- * running on a degraded tier (and go retrain when the fraction grows).
+ * accurate tier whose trained scope covers the query and counts every
+ * answer in the process-wide `gpuperf_predictor_*` registry counters
+ * (kw_hits, lw_fallbacks, e2e_fallbacks, unanswered), so operators can
+ * observe how often they are running on a degraded tier (and go
+ * retrain when the fraction grows).
  *
  * Tier order mirrors the paper's accuracy ladder: KW (~7% error), LW
  * (~28%), E2E (~35%). A query no tier covers is a recoverable error,
@@ -31,7 +33,6 @@
 #include "models/kw_model.h"
 #include "models/lw_model.h"
 #include "models/predictor.h"
-#include "obs/metrics_registry.h"
 
 namespace gpuperf::models {
 
@@ -40,20 +41,6 @@ enum class PredictorTier { kKw, kLw, kE2e, kNone };
 
 /** Stable tier name: "KW", "LW", "E2E", "none". */
 const char* PredictorTierName(PredictorTier tier);
-
-/** Snapshot of the stack's per-tier counters. */
-struct PredictorStackCounters {
-  std::uint64_t kw_hits = 0;        // answered by the full-accuracy tier
-  std::uint64_t lw_fallbacks = 0;   // KW missing/out of scope, LW answered
-  std::uint64_t e2e_fallbacks = 0;  // KW and LW out of scope, E2E answered
-  std::uint64_t unanswered = 0;     // no tier covered the query
-
-  std::uint64_t total() const {
-    return kw_hits + lw_fallbacks + e2e_fallbacks + unanswered;
-  }
-  /** Fraction of answered queries served by a degraded (non-KW) tier. */
-  double DegradedFraction() const;
-};
 
 /** The KW -> LW -> E2E fallback stack. */
 class PredictorStack : public Predictor {
@@ -117,12 +104,6 @@ class PredictorStack : public Predictor {
                             std::span<double> out_us,
                             std::span<PredictorTier> tiers) const;
 
-  /** Thread-safe counter snapshot. */
-  PredictorStackCounters counters() const;
-
-  /** Zeroes this stack's counters (e.g. between measurement windows). */
-  void ResetCounters();
-
  private:
   // Shared with BundleRegistry snapshots; the pointee is immutable and
   // its predict path is const and thread-safe.
@@ -130,14 +111,6 @@ class PredictorStack : public Predictor {
   std::optional<LwModel> lw_;
   std::optional<E2eModel> e2e_;
   std::set<std::string> lw_gpus_;  // GPUs the LW tier has fits for
-
-  // Per-instance counters (counters()/ResetCounters() are scoped to
-  // this stack); every query additionally bumps the process-wide
-  // `gpuperf_predictor_*` registry families.
-  mutable obs::Counter kw_hits_;
-  mutable obs::Counter lw_fallbacks_;
-  mutable obs::Counter e2e_fallbacks_;
-  mutable obs::Counter unanswered_;
 
   /** Shared sweep implementation; `tiers` may be null. */
   void PredictManySwept(std::span<const PredictQuery> queries,

@@ -1,6 +1,7 @@
 #include "simsys/serving.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -12,7 +13,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gpuexec/oracle.h"
-#include "obs/breaker_metrics.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
@@ -22,104 +22,136 @@ namespace gpuperf::simsys {
 
 namespace {
 
-// Flight-recorder channel names mirror the gpuperf_serving_* registry
-// families bumped in RecordSimulation, so summing a channel's
-// per-window deltas across every cell reproduces the final registry
-// snapshot totals (the obs smoke asserts exactly this).
-constexpr char kChCompleted[] = "gpuperf_serving_jobs_completed";
-constexpr char kChDropped[] = "gpuperf_serving_jobs_dropped";
-constexpr char kChShed[] = "gpuperf_serving_jobs_shed";
-constexpr char kChRetries[] = "gpuperf_serving_retries";
-constexpr char kChRetriesSuppressed[] = "gpuperf_serving_retries_suppressed";
-constexpr char kChBreakerOpens[] = "gpuperf_serving_breaker_opens";
-constexpr char kChDeadlineMisses[] = "gpuperf_serving_deadline_misses";
-constexpr char kChHedgesIssued[] = "gpuperf_serving_hedges_issued";
-constexpr char kChHedgesWon[] = "gpuperf_serving_hedges_won";
-constexpr char kChQueueDepth[] = "gpuperf_serving_queue_depth";
-constexpr char kChLatencyMs[] = "gpuperf_serving_latency_ms";
-constexpr char kChResidualPct[] = "gpuperf_serving_residual_pct";
+/**
+ * Everything that can happen to a job in the pool. Each transition is
+ * emitted exactly once, through Sim::Emit; the ServingResult, the
+ * registry fold, the trace, the flight-recorder timeline and the
+ * observation stream all read from that one call.
+ */
+enum EventKind {
+  kArrival,          // a job entered the pool
+  kShed,             // admission control rejected it
+  kDispatch,         // a leg was placed on a GPU
+  kDegraded,         // ...by least-outstanding: predictions were unusable
+  kRetry,            // a failed attempt is re-dispatched at next_at_us
+  kDrop,             // the job is abandoned
+  kRetrySuppressed,  // an empty retry token bucket forced that drop
+  kHedgeIssued,      // a backup leg was placed on a second GPU
+  kHedgeWon,         // the backup leg delivers the job
+  kLegFailed,        // a leg died under a GPU outage
+  kBreakerOpen,      // that failure tripped the GPU's breaker
+  kCompleted,        // the winning leg finished
+  kDeadlineMiss,     // ...later than the SLO
+  kCancel,           // a losing hedge leg was cancelled
+  kEventKinds,
+};
+
+/** What each event kind feeds besides its count. */
+struct EventKindInfo {
+  // gpuperf_serving_* registry counter (nullptr = none); per DESIGN.md
+  // §10 the name is gpuperf_serving_<name>.
+  const char* metric;
+  const char* help;
+  // Also a flight-recorder counter channel of the same name, so summing
+  // a channel's per-window deltas across every cell reproduces the
+  // final registry totals (the obs smoke asserts exactly this).
+  bool timeline;
+  int outstanding;  // change to the pool-wide queue depth
+};
+
+constexpr EventKindInfo kEventKindInfo[] = {
+    /* kArrival */ {"gpuperf_serving_jobs_arrived",
+                    "Arrivals (completed + dropped + shed)", false, 0},
+    /* kShed */ {"gpuperf_serving_jobs_shed", "Admission-control rejections",
+                 true, 0},
+    /* kDispatch */ {nullptr, nullptr, false, +1},
+    /* kDegraded */ {nullptr, nullptr, false, 0},
+    /* kRetry */ {"gpuperf_serving_retries",
+                  "Re-dispatches caused by GPU failures", true, 0},
+    /* kDrop */ {"gpuperf_serving_jobs_dropped",
+                 "Jobs abandoned after the retry budget", true, 0},
+    /* kRetrySuppressed */ {"gpuperf_serving_retries_suppressed",
+                            "Retries dropped by an empty token bucket", true,
+                            0},
+    /* kHedgeIssued */ {"gpuperf_serving_hedges_issued",
+                        "Duplicate dispatches for slow jobs", true, +1},
+    /* kHedgeWon */ {"gpuperf_serving_hedges_won",
+                     "Jobs delivered by the hedge leg", true, 0},
+    /* kLegFailed */ {nullptr, nullptr, false, -1},
+    /* kBreakerOpen */ {"gpuperf_serving_breaker_opens",
+                        "Circuit-breaker trips across the pool", true, 0},
+    /* kCompleted */ {"gpuperf_serving_jobs_completed",
+                      "Jobs served to completion", true, -1},
+    /* kDeadlineMiss */ {"gpuperf_serving_deadline_misses",
+                         "Completions later than the SLO", true, 0},
+    /* kCancel */ {nullptr, nullptr, false, -1},
+};
+static_assert(std::size(kEventKindInfo) == kEventKinds);
+
+// Shared by the registry histogram and the recorder's latency sketch.
+constexpr char kLatencyMetric[] = "gpuperf_serving_latency_ms";
+std::vector<double> LatencyBucketsMs() {
+  return {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000};
+}
+
+/**
+ * One state transition. Which fields are meaningful depends on `kind`:
+ * the span is the leg's [start, end] for dispatch, hedge-issued and
+ * completed; `reason` is the static cause of a shed or drop, or
+ * "failed" for a leg an outage will kill.
+ */
+struct ServingEvent {
+  EventKind kind = kArrival;
+  double t_us = 0;
+  std::size_t id = 0;   // job id, in arrival order
+  std::size_t job = 0;  // job type
+  std::size_t gpu = 0;
+  int attempt = 0;
+  double start_us = 0;
+  double end_us = 0;
+  double latency_ms = 0;
+  double service_us = 0;
+  double next_at_us = 0;
+  const char* reason = nullptr;
+};
 
 /**
  * The serving module's registry instruments, resolved once (name
  * lookup takes the registry Mutex) and bumped lock-free afterwards —
- * possibly from many grid threads at once. Naming per DESIGN.md §10:
- * gpuperf_serving_<name>.
+ * possibly from many grid threads at once, so only once per
+ * simulation, never per event.
  */
 struct ServingMetrics {
   obs::Counter& simulations;
-  obs::Counter& jobs_arrived;
-  obs::Counter& jobs_completed;
-  obs::Counter& jobs_dropped;
-  obs::Counter& jobs_shed;
-  obs::Counter& retries;
-  obs::Counter& breaker_opens;
-  obs::Counter& deadline_misses;
-  obs::Counter& hedges_issued;
-  obs::Counter& hedges_won;
-  obs::Counter& retries_suppressed;
+  std::array<obs::Counter*, kEventKinds> events;  // nullptr = no metric
   obs::Histogram& latency_ms;
+  obs::Counter& breaker_opens;
+  obs::Counter& breaker_half_opens;
+  obs::Counter& breaker_closes;
 
   static ServingMetrics& Get() {
     static ServingMetrics* const kMetrics = [] {
-      // Breakers run inside serving sims; bind their transition hook to
-      // the gpuperf_breaker_* counters before the first one can trip.
-      obs::InstallBreakerMetrics();
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      std::array<obs::Counter*, kEventKinds> events{};
+      for (int k = 0; k < kEventKinds; ++k) {
+        const EventKindInfo& info = kEventKindInfo[k];
+        if (info.metric != nullptr) {
+          events[k] = &registry.counter(info.metric, info.help);
+        }
+      }
       return new ServingMetrics{
           registry.counter("gpuperf_serving_simulations",
                            "Successful SimulateServing returns"),
-          registry.counter("gpuperf_serving_jobs_arrived",
-                           "Arrivals (completed + dropped + shed)"),
-          registry.counter("gpuperf_serving_jobs_completed",
-                           "Jobs served to completion"),
-          registry.counter("gpuperf_serving_jobs_dropped",
-                           "Jobs abandoned after the retry budget"),
-          registry.counter("gpuperf_serving_jobs_shed",
-                           "Admission-control rejections"),
-          registry.counter("gpuperf_serving_retries",
-                           "Re-dispatches caused by GPU failures"),
-          registry.counter("gpuperf_serving_breaker_opens",
-                           "Circuit-breaker trips across the pool"),
-          registry.counter("gpuperf_serving_deadline_misses",
-                           "Completions later than the SLO"),
-          registry.counter("gpuperf_serving_hedges_issued",
-                           "Duplicate dispatches for slow jobs"),
-          registry.counter("gpuperf_serving_hedges_won",
-                           "Jobs delivered by the hedge leg"),
-          registry.counter("gpuperf_serving_retries_suppressed",
-                           "Retries dropped by an empty token bucket"),
-          registry.histogram("gpuperf_serving_latency_ms",
-                             {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000},
-                             "End-to-end job latency in milliseconds")};
+          events,
+          registry.histogram(kLatencyMetric, LatencyBucketsMs(),
+                             "End-to-end job latency in milliseconds"),
+          registry.counter("gpuperf_breaker_opens"),
+          registry.counter("gpuperf_breaker_half_opens"),
+          registry.counter("gpuperf_breaker_closes")};
     }();
     return *kMetrics;
   }
 };
-
-void RecordSimulation(const ServingResult& result,
-                      const std::vector<double>& latencies_ms) {
-  ServingMetrics& metrics = ServingMetrics::Get();
-  metrics.simulations.Increment();
-  metrics.jobs_arrived.Increment(static_cast<std::uint64_t>(
-      result.completed + result.dropped + result.shed_on_admission));
-  metrics.jobs_completed.Increment(
-      static_cast<std::uint64_t>(result.completed));
-  metrics.jobs_dropped.Increment(static_cast<std::uint64_t>(result.dropped));
-  metrics.jobs_shed.Increment(
-      static_cast<std::uint64_t>(result.shed_on_admission));
-  metrics.retries.Increment(static_cast<std::uint64_t>(result.retries));
-  metrics.breaker_opens.Increment(
-      static_cast<std::uint64_t>(result.breaker_opens));
-  metrics.deadline_misses.Increment(
-      static_cast<std::uint64_t>(result.deadline_misses));
-  metrics.hedges_issued.Increment(
-      static_cast<std::uint64_t>(result.hedges_issued));
-  metrics.hedges_won.Increment(
-      static_cast<std::uint64_t>(result.hedges_won));
-  metrics.retries_suppressed.Increment(
-      static_cast<std::uint64_t>(result.retries_suppressed));
-  for (double latency : latencies_ms) metrics.latency_ms.Observe(latency);
-}
 
 }  // namespace
 
@@ -158,8 +190,6 @@ struct Sim {
   std::vector<int> gpu_outstanding;
   std::vector<double> gpu_busy;
   std::vector<CircuitBreaker> breakers;
-  std::vector<double> latencies_ms;
-  std::vector<ServingObservation> observations;  // record_observations only
   int round_robin_next = 0;
 
   // Gray-failure resilience state. `chaos` is borrowed (nullptr = no
@@ -168,41 +198,28 @@ struct Sim {
   const ChaosPlan* chaos = nullptr;
   double retry_tokens = 0;
   std::vector<double> observed_service_us;
-  int hedges_issued = 0;
-  int hedges_won = 0;
-  int retries_suppressed = 0;
 
-  // Optional sim-time lifecycle recording; null = tracing off. Track 0
-  // is the dispatcher (shed/drop/retry instants), track g+1 is GPU g
-  // (queue-wait and service spans). Purely observational: no branch in
-  // the simulation ever reads tracer state.
+  // What happened, written only by Emit: one count per EventKind, the
+  // completion latencies, and (record_observations only) the
+  // completions as the drift monitor sees them.
+  std::array<int, kEventKinds> counts{};
+  std::vector<double> latencies_ms;
+  std::vector<ServingObservation> observations;
+
+  // Optional sinks, null = off; only Emit feeds them, and no branch in
+  // the simulation ever reads them. Tracer track 0 is the dispatcher
+  // (shed/drop/retry instants), track g+1 is GPU g (queue-wait and
+  // service spans). Recorder windows close lazily in the run loop.
   obs::SpanTracer* tracer = nullptr;
-
-  // Optional sim-time flight recording; null = off. Event handlers bump
-  // counters/gauges/sketches here; windows close lazily in the run
-  // loop. Purely observational, like `tracer`.
   obs::FlightRecorder* recorder = nullptr;
-  // Cached channel handles (valid while `recorder` is): per-event
-  // updates must not pay the by-name map lookup (bench_speed_obs).
-  obs::FlightRecorder::CounterHandle ch_completed, ch_dropped, ch_shed,
-      ch_retries, ch_retries_suppressed, ch_breaker_opens,
-      ch_deadline_misses, ch_hedges_issued, ch_hedges_won;
+  // Cached recorder channel handles (valid while `recorder` is): per-
+  // event updates must not pay the by-name map lookup
+  // (bench_speed_obs). `ch_counts[k]` is set where kind k is a
+  // timeline channel.
+  std::array<obs::FlightRecorder::CounterHandle, kEventKinds> ch_counts;
   obs::FlightRecorder::GaugeHandle ch_queue_depth;
   obs::FlightRecorder::SketchHandle ch_latency_ms, ch_residual_pct;
   int outstanding_total = 0;  // sum of gpu_outstanding (queue-depth gauge)
-
-  /** Publishes the pool-wide queue depth to the recorder gauge. */
-  void RecordQueueDepth() {
-    recorder->SetGauge(ch_queue_depth, outstanding_total);
-  }
-
-  int retries = 0;
-  int dropped = 0;
-  int dispatches = 0;
-  int degraded = 0;
-  int shed = 0;
-  int deadline_misses = 0;
-  int completed_within_slo = 0;
 
   Sim(const std::vector<std::vector<double>>& truth_in,
       const std::vector<std::vector<double>>& predicted_in,
@@ -365,49 +382,123 @@ struct Sim {
     return PickOutcome::kPoolDown;
   }
 
-  /** args body shared by every trace event of one job attempt. */
-  std::string TraceArgs(std::size_t id, std::size_t job, int attempt) const {
-    return Format("\"id\":%zu,\"job\":%zu,\"attempt\":%d", id, job, attempt);
+  /**
+   * Records one state transition: its count, and — when attached — its
+   * recorder channels, its trace span or instant, and the completion
+   * streams. The only code that writes `counts`, `latencies_ms`,
+   * `observations` or a sink; handlers change simulation state and
+   * call this.
+   */
+  void Emit(const ServingEvent& e) {
+    ++counts[e.kind];
+    // The cell's prediction for a completion (NaN = none).
+    const auto predicted_us = [this, &e] {
+      return !predicted.empty() && std::isfinite(predicted[e.job][e.gpu])
+                 ? predicted[e.job][e.gpu]
+                 : std::numeric_limits<double>::quiet_NaN();
+    };
+    if (e.kind == kCompleted) {
+      latencies_ms.push_back(e.latency_ms);
+      if (config.record_observations) {
+        observations.push_back({e.job, e.gpu,
+                                config.time_origin_us + e.start_us,
+                                e.service_us, predicted_us()});
+      }
+    }
+
+    if (recorder != nullptr) {
+      const EventKindInfo& info = kEventKindInfo[e.kind];
+      if (info.timeline) recorder->Count(ch_counts[e.kind]);
+      if (info.outstanding != 0) {
+        outstanding_total += info.outstanding;
+        recorder->SetGauge(ch_queue_depth, outstanding_total);
+      }
+      if (e.kind == kCompleted) {
+        recorder->Observe(ch_latency_ms, e.latency_ms);
+        const double p = predicted_us();
+        if (p > 0) {  // false for NaN (no prediction)
+          // Per-completion residual: the signal the drift monitor and
+          // `gpuperf explain` attribution both key on.
+          recorder->Observe(ch_residual_pct,
+                            std::abs(e.service_us - p) / p * 100.0);
+        }
+      }
+    }
+
+    if (tracer == nullptr) return;
+    const int gpu_track = static_cast<int>(e.gpu) + 1;
+    // args body shared by every trace event of one job attempt.
+    const auto args = [&e] {
+      return Format("\"id\":%zu,\"job\":%zu,\"attempt\":%d", e.id, e.job,
+                    e.attempt);
+    };
+    const auto with_reason = [&e, &args](const char* key) {
+      return e.reason == nullptr
+                 ? args()
+                 : args() + Format(",\"%s\":\"%s\"", key, e.reason);
+    };
+    switch (e.kind) {
+      case kShed:
+        tracer->Instant(0, "shed", "admission", e.t_us,
+                        with_reason("reason"));
+        break;
+      case kDispatch:
+        if (e.start_us > e.t_us) {
+          tracer->Span(gpu_track, "queued", "queue", e.t_us, e.start_us,
+                       args());
+        }
+        tracer->Span(gpu_track, Format("job %zu", e.job), "service",
+                     e.start_us, e.end_us,
+                     e.reason != nullptr
+                         ? with_reason("outcome")
+                         : args() + Format(",\"wait_us\":%.3f",
+                                           e.start_us - e.t_us));
+        break;
+      case kRetry:
+        tracer->Instant(0, "retry", "retry", e.t_us,
+                        args() + Format(",\"next_at_us\":%.3f", e.next_at_us));
+        break;
+      case kDrop:
+        tracer->Instant(0, "drop", "retry", e.t_us, with_reason("reason"));
+        break;
+      case kHedgeIssued:
+        tracer->Span(gpu_track, Format("job %zu", e.job), "hedge", e.start_us,
+                     e.end_us, with_reason("outcome"));
+        break;
+      case kBreakerOpen:
+        tracer->Instant(gpu_track, "breaker-open", "breaker", e.t_us, args());
+        break;
+      case kCancel:
+        tracer->Instant(gpu_track, "hedge-cancel", "hedge", e.t_us, args());
+        break;
+      default:
+        break;  // counted only
+    }
   }
 
   /** Drops the job or schedules its next attempt after the backoff. */
   void RetryOrDrop(std::size_t id, std::size_t job, double arrival,
                    int attempt) {
+    const double now = queue.NowUs();
     if (attempt >= config.retry.max_retries) {
-      ++dropped;
-      if (recorder != nullptr) recorder->Count(ch_dropped);
-      if (tracer != nullptr) {
-        tracer->Instant(0, "drop", "retry", queue.NowUs(),
-                        TraceArgs(id, job, attempt));
-      }
+      Emit({.kind = kDrop, .t_us = now, .id = id, .job = job,
+            .attempt = attempt});
       return;
     }
     if (config.retry_budget > 0 && retry_tokens < 1.0) {
       // Token bucket empty: a mass failure has outrun the completions
       // that refill it. Dropping here is what breaks the retry-storm
       // metastable state — the drop is final, not deferred load.
-      ++retries_suppressed;
-      ++dropped;
-      if (recorder != nullptr) {
-        recorder->Count(ch_retries_suppressed);
-        recorder->Count(ch_dropped);
-      }
-      if (tracer != nullptr) {
-        tracer->Instant(0, "drop", "retry", queue.NowUs(),
-                        TraceArgs(id, job, attempt) +
-                            ",\"reason\":\"retry-budget\"");
-      }
+      Emit({.kind = kRetrySuppressed, .t_us = now, .id = id, .job = job,
+            .attempt = attempt});
+      Emit({.kind = kDrop, .t_us = now, .id = id, .job = job,
+            .attempt = attempt, .reason = "retry-budget"});
       return;
     }
     if (config.retry_budget > 0) retry_tokens -= 1.0;
-    ++retries;
-    if (recorder != nullptr) recorder->Count(ch_retries);
-    const double at = queue.NowUs() + RetryDelayUs(attempt);
-    if (tracer != nullptr) {
-      tracer->Instant(
-          0, "retry", "retry", queue.NowUs(),
-          TraceArgs(id, job, attempt) + Format(",\"next_at_us\":%.3f", at));
-    }
+    const double at = now + RetryDelayUs(attempt);
+    Emit({.kind = kRetry, .t_us = now, .id = id, .job = job,
+          .attempt = attempt, .next_at_us = at});
     queue.Schedule(at, [this, id, job, arrival, attempt] {
       Dispatch(id, job, arrival, attempt + 1);
     });
@@ -416,6 +507,7 @@ struct Sim {
   /** One dispatch attempt of `job` (attempt 0 = first try). */
   void Dispatch(std::size_t id, std::size_t job, double arrival,
                 int attempt) {
+    const double now = queue.NowUs();
     std::size_t target = 0;
     bool degraded_decision = false;
     switch (PickTarget(job, &target, &degraded_decision)) {
@@ -426,19 +518,13 @@ struct Sim {
       case PickOutcome::kQueueFull:
         // Admission control: every live queue is at capacity. Shedding
         // now is cheaper than queueing into a deadline miss.
-        ++shed;
-        if (recorder != nullptr) recorder->Count(ch_shed);
-        if (tracer != nullptr) {
-          tracer->Instant(0, "shed", "admission", queue.NowUs(),
-                          TraceArgs(id, job, attempt) +
-                              ",\"reason\":\"queue-full\"");
-        }
+        Emit({.kind = kShed, .t_us = now, .id = id, .job = job,
+              .attempt = attempt, .reason = "queue-full"});
         return;
       case PickOutcome::kOk:
         break;
     }
 
-    const double now = queue.NowUs();
     // Prediction-driven load shedding: when the model already knows the
     // deadline is hopeless on the best available GPU, reject at
     // admission instead of wasting service time on a guaranteed miss.
@@ -449,21 +535,13 @@ struct Sim {
            predicted[job][target] - arrival) /
           1e3;
       if (predicted_latency_ms > config.slo_ms) {
-        ++shed;
-        if (recorder != nullptr) recorder->Count(ch_shed);
-        if (tracer != nullptr) {
-          tracer->Instant(0, "shed", "admission", now,
-                          TraceArgs(id, job, attempt) +
-                              ",\"reason\":\"predicted-slo-miss\"");
-        }
+        Emit({.kind = kShed, .t_us = now, .id = id, .job = job,
+              .attempt = attempt, .reason = "predicted-slo-miss"});
         return;
       }
     }
 
-    ++dispatches;
-    if (degraded_decision) ++degraded;
     breakers[target].OnDispatch(now);
-
     const double start = std::max(gpu_free[target], now);
     const double service = ServiceTime(job, target, start);
     if (!predicted.empty() && std::isfinite(predicted[job][target])) {
@@ -471,13 +549,6 @@ struct Sim {
           std::max(gpu_predicted_free[target], now) + predicted[job][target];
     }
     ++gpu_outstanding[target];
-    ++outstanding_total;
-    if (recorder != nullptr) RecordQueueDepth();
-    const int track = static_cast<int>(target) + 1;
-    if (tracer != nullptr && start > now) {
-      tracer->Span(track, "queued", "queue", now, start,
-                   TraceArgs(id, job, attempt));
-    }
 
     // One leg on `target`: either it completes at start + service, or
     // the GPU fails under it mid-job (or while it is queued) and the
@@ -490,12 +561,13 @@ struct Sim {
         fails ? std::max(start, outage->down_us) : start + service;
     gpu_busy[target] += leg_end - start;
     gpu_free[target] = leg_end;
-    if (tracer != nullptr) {
-      tracer->Span(track, Format("job %zu", job), "service", start, leg_end,
-                   TraceArgs(id, job, attempt) +
-                       (fails ? std::string(",\"outcome\":\"failed\"")
-                              : Format(",\"wait_us\":%.3f", start - now)));
+    if (degraded_decision) {
+      Emit({.kind = kDegraded, .t_us = now, .id = id, .job = job,
+            .gpu = target, .attempt = attempt});
     }
+    Emit({.kind = kDispatch, .t_us = now, .id = id, .job = job, .gpu = target,
+          .attempt = attempt, .start_us = start, .end_us = leg_end,
+          .reason = fails ? "failed" : nullptr});
 
     // Hedged dispatch: if the job will still be running once it has
     // exceeded its predicted time by the trigger factor, revisit it
@@ -518,7 +590,8 @@ struct Sim {
       ScheduleLegFailure(id, job, arrival, attempt, target, leg_end,
                          /*retry=*/true);
     } else {
-      ScheduleLegCompletion(job, target, arrival, start, service, leg_end);
+      ScheduleLegCompletion(id, job, attempt, target, arrival, start,
+                            service, leg_end);
     }
   }
 
@@ -552,19 +625,15 @@ struct Sim {
         ScheduleLegFailure(id, job, arrival, attempt, primary, primary_end,
                            /*retry=*/true);
       } else {
-        ScheduleLegCompletion(job, primary, arrival, primary_start,
-                              primary_service, primary_end);
+        ScheduleLegCompletion(id, job, attempt, primary, arrival,
+                              primary_start, primary_service, primary_end);
       }
       return;
     }
 
     const std::size_t hedge = LeastOutstanding(candidates);
-    ++hedges_issued;
-    if (recorder != nullptr) recorder->Count(ch_hedges_issued);
     breakers[hedge].OnDispatch(now);
     ++gpu_outstanding[hedge];
-    ++outstanding_total;
-    if (recorder != nullptr) RecordQueueDepth();
     const double hedge_start = std::max(gpu_free[hedge], now);
     const double hedge_service = ServiceTime(job, hedge, hedge_start);
     const DownInterval* outage =
@@ -575,12 +644,9 @@ struct Sim {
                                  : hedge_start + hedge_service;
     gpu_busy[hedge] += hedge_end - hedge_start;
     gpu_free[hedge] = hedge_end;
-    if (tracer != nullptr) {
-      tracer->Span(static_cast<int>(hedge) + 1, Format("job %zu", job),
-                   "hedge", hedge_start, hedge_end,
-                   TraceArgs(id, job, attempt) +
-                       (hedge_fails ? ",\"outcome\":\"failed\"" : ""));
-    }
+    Emit({.kind = kHedgeIssued, .t_us = now, .id = id, .job = job,
+          .gpu = hedge, .attempt = attempt, .start_us = hedge_start,
+          .end_us = hedge_end, .reason = hedge_fails ? "failed" : nullptr});
 
     if (primary_fails && hedge_fails) {
       // Both legs die; the later failure carries the retry so the job
@@ -592,33 +658,34 @@ struct Sim {
                          /*retry=*/!primary_last);
       return;
     }
+    const ServingEvent hedge_won = {.kind = kHedgeWon, .t_us = now,
+                                    .id = id, .job = job, .gpu = hedge,
+                                    .attempt = attempt};
     if (primary_fails) {
       // The hedge saves the job: the primary's failure still feeds its
       // breaker, but no retry is needed.
-      ++hedges_won;
-      if (recorder != nullptr) recorder->Count(ch_hedges_won);
+      Emit(hedge_won);
       ScheduleLegFailure(id, job, arrival, attempt, primary, primary_end,
                          /*retry=*/false);
-      ScheduleLegCompletion(job, hedge, arrival, hedge_start, hedge_service,
-                            hedge_end);
+      ScheduleLegCompletion(id, job, attempt, hedge, arrival, hedge_start,
+                            hedge_service, hedge_end);
       return;
     }
     if (hedge_fails) {
       ScheduleLegFailure(id, job, arrival, attempt, hedge, hedge_end,
                          /*retry=*/false);
-      ScheduleLegCompletion(job, primary, arrival, primary_start,
+      ScheduleLegCompletion(id, job, attempt, primary, arrival, primary_start,
                             primary_service, primary_end);
       return;
     }
     if (hedge_end < primary_end) {
-      ++hedges_won;
-      if (recorder != nullptr) recorder->Count(ch_hedges_won);
-      ScheduleLegCompletion(job, hedge, arrival, hedge_start, hedge_service,
-                            hedge_end);
+      Emit(hedge_won);
+      ScheduleLegCompletion(id, job, attempt, hedge, arrival, hedge_start,
+                            hedge_service, hedge_end);
       ScheduleLegCancel(id, job, attempt, primary, primary_start,
                         primary_end, hedge_end);
     } else {
-      ScheduleLegCompletion(job, primary, arrival, primary_start,
+      ScheduleLegCompletion(id, job, attempt, primary, arrival, primary_start,
                             primary_service, primary_end);
       ScheduleLegCancel(id, job, attempt, hedge, hedge_start, hedge_end,
                         primary_end);
@@ -631,64 +698,47 @@ struct Sim {
                           int attempt, std::size_t gpu, double fail_at,
                           bool retry) {
     queue.Schedule(fail_at, [this, id, job, arrival, attempt, gpu, retry] {
+      const double now = queue.NowUs();
       --gpu_outstanding[gpu];
-      --outstanding_total;
-      if (recorder != nullptr) RecordQueueDepth();
       const std::int64_t opens_before = breakers[gpu].opens();
-      breakers[gpu].OnFailure(queue.NowUs());
+      breakers[gpu].OnFailure(now);
+      const ServingEvent failed = {.kind = kLegFailed, .t_us = now,
+                                   .id = id, .job = job, .gpu = gpu,
+                                   .attempt = attempt};
+      Emit(failed);
       if (breakers[gpu].opens() > opens_before) {
-        if (recorder != nullptr) recorder->Count(ch_breaker_opens);
-        if (tracer != nullptr) {
-          tracer->Instant(static_cast<int>(gpu) + 1, "breaker-open",
-                          "breaker", queue.NowUs(),
-                          TraceArgs(id, job, attempt));
-        }
+        ServingEvent opened = failed;
+        opened.kind = kBreakerOpen;
+        Emit(opened);
       }
       if (retry) RetryOrDrop(id, job, arrival, attempt);
     });
   }
 
   /** Schedules the winning leg's completion bookkeeping at `leg_end`. */
-  void ScheduleLegCompletion(std::size_t job, std::size_t gpu,
-                             double arrival, double leg_start,
-                             double service, double leg_end) {
-    queue.Schedule(leg_end, [this, job, gpu, arrival, leg_start, service] {
-      const double latency_ms = (queue.NowUs() - arrival) / 1e3;
-      latencies_ms.push_back(latency_ms);
+  void ScheduleLegCompletion(std::size_t id, std::size_t job, int attempt,
+                             std::size_t gpu, double arrival,
+                             double leg_start, double service,
+                             double leg_end) {
+    queue.Schedule(leg_end, [this, id, job, attempt, gpu, arrival, leg_start,
+                             service] {
+      const double now = queue.NowUs();
+      const double latency_ms = (now - arrival) / 1e3;
       --gpu_outstanding[gpu];
-      --outstanding_total;
-      breakers[gpu].OnSuccess(queue.NowUs());
+      breakers[gpu].OnSuccess(now);
       observed_service_us.push_back(service);
-      if (recorder != nullptr) {
-        RecordQueueDepth();
-        recorder->Count(ch_completed);
-        recorder->Observe(ch_latency_ms, latency_ms);
-        if (!predicted.empty() && std::isfinite(predicted[job][gpu]) &&
-            predicted[job][gpu] > 0) {
-          // Per-completion residual: the signal the drift monitor and
-          // `gpuperf explain` attribution both key on.
-          recorder->Observe(ch_residual_pct,
-                            std::abs(service - predicted[job][gpu]) /
-                                predicted[job][gpu] * 100.0);
-        }
-      }
       if (config.retry_budget > 0) {
         retry_tokens = std::min(config.retry_budget_burst,
                                 retry_tokens + config.retry_budget);
       }
+      ServingEvent done = {.kind = kCompleted, .t_us = now, .id = id,
+                           .job = job, .gpu = gpu, .attempt = attempt,
+                           .start_us = leg_start, .end_us = now,
+                           .latency_ms = latency_ms, .service_us = service};
+      Emit(done);
       if (config.slo_ms > 0 && latency_ms > config.slo_ms) {
-        ++deadline_misses;
-        if (recorder != nullptr) recorder->Count(ch_deadline_misses);
-      } else {
-        ++completed_within_slo;
-      }
-      if (config.record_observations) {
-        const double predicted_us =
-            !predicted.empty() && std::isfinite(predicted[job][gpu])
-                ? predicted[job][gpu]
-                : std::numeric_limits<double>::quiet_NaN();
-        observations.push_back({job, gpu, config.time_origin_us + leg_start,
-                                service, predicted_us});
+        done.kind = kDeadlineMiss;
+        Emit(done);
       }
     });
   }
@@ -712,16 +762,37 @@ struct Sim {
         gpu_free[gpu] = stop;
       }
       --gpu_outstanding[gpu];
-      --outstanding_total;
-      if (recorder != nullptr) RecordQueueDepth();
       breakers[gpu].OnCancel(now);
-      if (tracer != nullptr) {
-        tracer->Instant(static_cast<int>(gpu) + 1, "hedge-cancel", "hedge",
-                        now, TraceArgs(id, job, attempt));
-      }
+      Emit({.kind = kCancel, .t_us = now, .id = id, .job = job, .gpu = gpu,
+            .attempt = attempt});
     });
   }
 };
+
+/**
+ * Folds one finished simulation into the process-wide registry: every
+ * counter and the latency histogram read what Emit recorded, and the
+ * breaker families read each breaker's own transition counts.
+ */
+void RecordSimulation(const Sim& sim) {
+  ServingMetrics& metrics = ServingMetrics::Get();
+  metrics.simulations.Increment();
+  for (int k = 0; k < kEventKinds; ++k) {
+    if (metrics.events[k] != nullptr) {
+      metrics.events[k]->Increment(static_cast<std::uint64_t>(sim.counts[k]));
+    }
+  }
+  for (double latency : sim.latencies_ms) metrics.latency_ms.Observe(latency);
+  for (const CircuitBreaker& breaker : sim.breakers) {
+    metrics.breaker_opens.Increment(
+        static_cast<std::uint64_t>(breaker.opens()));
+    metrics.breaker_half_opens.Increment(
+        static_cast<std::uint64_t>(breaker.half_opens()));
+    metrics.breaker_closes.Increment(
+        static_cast<std::uint64_t>(breaker.closes()));
+  }
+}
+
 
 Status ValidateInputs(const std::vector<std::vector<double>>& true_service_us,
                       const std::vector<std::vector<double>>& predicted,
@@ -1003,9 +1074,6 @@ StatusOr<ServingResult> SimulateServing(
                                     job_mix, config));
   const std::size_t gpus = true_service_us[0].size();
   const double horizon_us = config.duration_s * 1e6;
-  // Resolve the module's instruments (and the breaker transition hook)
-  // before any breaker can trip, not just at result-recording time.
-  ServingMetrics::Get();
 
   FaultPlan base_plan = config.fault_plan != nullptr
                             ? *config.fault_plan
@@ -1033,21 +1101,16 @@ StatusOr<ServingResult> SimulateServing(
     // carries the full, stable channel set from the first window on (a
     // no-op on later epochs), and the cached handles keep the by-name
     // map lookup off the per-event hot path.
-    sim.ch_completed = rec.CounterChannel(kChCompleted);
-    sim.ch_dropped = rec.CounterChannel(kChDropped);
-    sim.ch_shed = rec.CounterChannel(kChShed);
-    sim.ch_retries = rec.CounterChannel(kChRetries);
-    sim.ch_retries_suppressed = rec.CounterChannel(kChRetriesSuppressed);
-    sim.ch_breaker_opens = rec.CounterChannel(kChBreakerOpens);
-    sim.ch_deadline_misses = rec.CounterChannel(kChDeadlineMisses);
-    sim.ch_hedges_issued = rec.CounterChannel(kChHedgesIssued);
-    sim.ch_hedges_won = rec.CounterChannel(kChHedgesWon);
-    sim.ch_queue_depth = rec.GaugeChannel(kChQueueDepth);
+    for (int k = 0; k < kEventKinds; ++k) {
+      if (kEventKindInfo[k].timeline) {
+        sim.ch_counts[k] = rec.CounterChannel(kEventKindInfo[k].metric);
+      }
+    }
+    sim.ch_queue_depth = rec.GaugeChannel("gpuperf_serving_queue_depth");
     rec.SetGauge(sim.ch_queue_depth, 0);
-    sim.ch_latency_ms = rec.SketchChannel(
-        kChLatencyMs, {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-    sim.ch_residual_pct =
-        rec.SketchChannel(kChResidualPct, {1, 2, 5, 10, 20, 50, 100});
+    sim.ch_latency_ms = rec.SketchChannel(kLatencyMetric, LatencyBucketsMs());
+    sim.ch_residual_pct = rec.SketchChannel("gpuperf_serving_residual_pct",
+                                            {1, 2, 5, 10, 20, 50, 100});
   }
   if (tracer != nullptr) {
     tracer->SetTrackName(0, "dispatcher");
@@ -1079,6 +1142,7 @@ StatusOr<ServingResult> SimulateServing(
     const double arrival = next_arrival;
     const std::size_t id = next_id++;
     sim.queue.Schedule(arrival, [&sim, id, job, arrival] {
+      sim.Emit({.kind = kArrival, .t_us = arrival, .id = id, .job = job});
       sim.Dispatch(id, job, arrival, /*attempt=*/0);
     });
   }
@@ -1108,28 +1172,26 @@ StatusOr<ServingResult> SimulateServing(
                  static_cast<long long>(std::ceil(sim.queue.NowUs()))));
   }
 
+  const std::array<int, kEventKinds>& n = sim.counts;
   ServingResult result;
-  result.completed = static_cast<int>(sim.latencies_ms.size());
-  result.dropped = sim.dropped;
-  result.retries = sim.retries;
-  result.dispatches = sim.dispatches;
-  result.degraded_dispatches = sim.degraded;
+  result.completed = n[kCompleted];
+  result.dropped = n[kDrop];
+  result.retries = n[kRetry];
+  result.dispatches = n[kDispatch];
+  result.degraded_dispatches = n[kDegraded];
   result.degraded_dispatch_fraction =
-      sim.dispatches > 0
-          ? static_cast<double>(sim.degraded) / sim.dispatches
-          : 0.0;
-  result.shed_on_admission = sim.shed;
-  result.deadline_misses = sim.deadline_misses;
-  result.hedges_issued = sim.hedges_issued;
-  result.hedges_won = sim.hedges_won;
-  result.retries_suppressed = sim.retries_suppressed;
-  for (std::size_t g = 0; g < gpus; ++g) {
-    result.breaker_opens += static_cast<int>(sim.breakers[g].opens());
-  }
-  const int arrivals = result.completed + result.dropped + sim.shed;
+      n[kDispatch] > 0 ? static_cast<double>(n[kDegraded]) / n[kDispatch]
+                       : 0.0;
+  result.shed_on_admission = n[kShed];
+  result.deadline_misses = n[kDeadlineMiss];
+  result.breaker_opens = n[kBreakerOpen];
+  result.hedges_issued = n[kHedgeIssued];
+  result.hedges_won = n[kHedgeWon];
+  result.retries_suppressed = n[kRetrySuppressed];
   result.slo_attainment =
-      arrivals > 0
-          ? static_cast<double>(sim.completed_within_slo) / arrivals
+      n[kArrival] > 0
+          ? static_cast<double>(n[kCompleted] - n[kDeadlineMiss]) /
+                n[kArrival]
           : 1.0;
   if (!sim.latencies_ms.empty()) {
     result.p50_ms = Percentile(sim.latencies_ms, 50);
@@ -1146,7 +1208,7 @@ StatusOr<ServingResult> SimulateServing(
     }
   }
   result.observations = std::move(sim.observations);
-  RecordSimulation(result, sim.latencies_ms);
+  RecordSimulation(sim);
   return result;
 }
 

@@ -147,12 +147,14 @@ struct ServingConfig {
   // --- Sim-time flight recording (DESIGN.md §15); nullptr keeps the
   // hot path untouched. When set, the simulator advances the recorder
   // lazily between events (never scheduling events of its own, so
-  // results are bit-identical with and without a recorder): counters
-  // for completions/drops/sheds/retries/hedges/breaker opens, a queue
-  // depth gauge, and windowed latency/residual sketches, all stamped
-  // at `time_origin_us` + sim time so back-to-back epochs form one
-  // monotone timeline. The recorder is borrowed and single-threaded —
-  // one per simulation (or per grid cell).
+  // results are bit-identical with and without a recorder). It is fed
+  // from the same per-transition events as the result and the metrics
+  // registry: counters for completions/drops/sheds/retries/hedges/
+  // breaker opens/deadline misses, a queue depth gauge, and windowed
+  // latency/residual sketches, all stamped at `time_origin_us` + sim
+  // time so back-to-back epochs form one monotone timeline. The
+  // recorder is borrowed and single-threaded — one per simulation (or
+  // per grid cell).
   obs::FlightRecorder* recorder = nullptr;
   // Window cadence/capacity for the per-cell recorders
   // SimulateServingGrid creates when given a timeline sink.
@@ -215,8 +217,11 @@ struct ServingResult {
  * non-finite service times, ...) are InvalidArgument errors, not aborts.
  *
  * When `tracer` is non-null, per-job lifecycle events are recorded in
- * sim time: queue-wait and service spans per GPU track, plus
- * shed/drop/retry/breaker-open instants on the dispatcher track. The
+ * sim time: queue-wait, service and hedge spans per GPU track,
+ * breaker-open and hedge-cancel instants on the GPU's track, and
+ * shed/drop/retry instants on the dispatcher track. They come from the
+ * same per-transition events that the result and the metrics registry
+ * count, so a trace shows exactly what the counters add up. The
  * tracer is single-threaded state owned by this one simulation (one
  * per grid cell); tracing never changes the simulation result.
  */

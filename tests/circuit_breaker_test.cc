@@ -63,7 +63,11 @@ TEST(CircuitBreakerTest, HalfOpensAfterCooldownAndClosesOnProbeSuccess) {
   breaker.OnSuccess(11 * kMs);
   EXPECT_EQ(breaker.StateAt(11 * kMs), BreakerState::kClosed);
   EXPECT_TRUE(breaker.AllowsAt(11 * kMs));
+  // One trip, one cooldown expiry, one probe success: each transition
+  // counted once, however often the state was queried in between.
   EXPECT_EQ(breaker.opens(), 1);
+  EXPECT_EQ(breaker.half_opens(), 1);
+  EXPECT_EQ(breaker.closes(), 1);
 }
 
 TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {

@@ -1,11 +1,18 @@
 #include "obs/span_tracer.h"
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "obs/chrome_trace.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "simsys/serving.h"
 
@@ -183,6 +190,117 @@ TEST(SpanTracerTest, MetricsSnapshotIsByteIdenticalAcrossJobCounts) {
   for (const auto& cell : grid4) ASSERT_TRUE(cell.ok());
   EXPECT_EQ(registry.CsvSnapshot(), csv1);
   EXPECT_EQ(registry.PrometheusSnapshot(), prom1);
+}
+
+// --- Byte pin: one small cell with every resilience mechanism on, traced
+// and recorded. The trace JSON, the timeline CSV and the serving/breaker
+// registry deltas must match goldens byte for byte, so a rework of how
+// the simulator records what happens cannot change what it reports.
+// After an intended output change, regenerate the goldens with
+// GPUPERF_UPDATE_GOLDENS=1 and review the diff.
+
+simsys::ServingConfig PinnedCellConfig() {
+  simsys::ServingConfig config;
+  config.arrival_rate_per_s = 100;
+  config.duration_s = 0.5;  // ~50 arrivals
+  config.faults.mtbf_s = 0.05;
+  config.faults.mttr_s = 0.02;
+  config.chaos.gray_mtbf_s = 0.3;
+  config.chaos.gray_mttr_s = 0.15;
+  config.chaos.gray_factor = 4;
+  config.retry.max_retries = 1;
+  config.retry_budget = 0.05;
+  config.retry_budget_burst = 1;
+  config.hedge_trigger_factor = 1.5;
+  config.breaker.failure_threshold = 1;
+  config.breaker.cooldown_ms = 20;
+  config.adaptive_detect_quantile = 0.9;
+  config.slo_ms = 25;
+  config.queue_cap = 2;
+  config.recorder_config.sample_period_us = 50000;
+  return config;
+}
+
+/**
+ * One "metric,field,delta" row per counter and histogram field of the
+ * gpuperf_serving_* and gpuperf_breaker_* families: what `after` gained
+ * over `before` (histogram sums in their exact 2^-20 fixed point).
+ */
+std::string ServingCounterDeltas(const std::vector<InstrumentSnapshot>& before,
+                                 const std::vector<InstrumentSnapshot>& after) {
+  std::map<std::string, const InstrumentSnapshot*> start;
+  for (const InstrumentSnapshot& s : before) start[s.name] = &s;
+  std::string out;
+  for (const InstrumentSnapshot& s : after) {
+    if (s.name.rfind("gpuperf_serving_", 0) != 0 &&
+        s.name.rfind("gpuperf_breaker_", 0) != 0) {
+      continue;
+    }
+    const InstrumentSnapshot* b =
+        start.count(s.name) > 0 ? start.at(s.name) : nullptr;
+    if (s.kind == 0) {
+      out += Format("%s,value,%llu\n", s.name.c_str(),
+                    (unsigned long long)(s.counter_value -
+                                         (b ? b->counter_value : 0)));
+    } else if (s.kind == 2) {
+      out += Format("%s,count,%llu\n", s.name.c_str(),
+                    (unsigned long long)(s.histogram_count -
+                                         (b ? b->histogram_count : 0)));
+      out += Format("%s,sum_fp,%lld\n", s.name.c_str(),
+                    (long long)(s.histogram_sum_fp -
+                                (b ? b->histogram_sum_fp : 0)));
+      for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
+        out += Format("%s,bucket_%zu,%llu\n", s.name.c_str(), i,
+                      (unsigned long long)(s.bucket_counts[i] -
+                                           (b ? b->bucket_counts[i] : 0)));
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(GPUPERF_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("GPUPERF_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str()) << "output drifted from golden " << path;
+}
+
+TEST(SpanTracerTest, PinnedCellOutputsMatchGoldens) {
+  const std::vector<std::vector<double>> truth = {
+      {6000, 18000, 27000}, {21000, 7500, 12000}, {15000, 15000, 4500}};
+  // Optimistic predictions: deadline misses and hedges both fire.
+  std::vector<std::vector<double>> predicted = truth;
+  for (auto& row : predicted) {
+    for (double& t : row) t *= 0.7;
+  }
+  const std::vector<double> mix = {1.0, 1.0, 1.0};
+  const simsys::ServingConfig config = PinnedCellConfig();
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  // Register the serving families first, so `before` lists them too.
+  ASSERT_TRUE(simsys::SimulateServing(truth, predicted, mix, config).ok());
+  const std::vector<InstrumentSnapshot> before = registry.Snapshot();
+  ChromeTraceWriter trace;
+  FlightTimeline timeline;
+  const auto grid = simsys::SimulateServingGrid(
+      truth, predicted, mix, config,
+      {{simsys::DispatchPolicy::kPredictedLeastLoad, 5}}, /*jobs=*/1, &trace,
+      &timeline);
+  ASSERT_EQ(grid.size(), 1u);
+  ASSERT_TRUE(grid[0].ok()) << grid[0].status().ToString();
+  const std::vector<InstrumentSnapshot> after = registry.Snapshot();
+
+  ExpectMatchesGolden("serving_pin_trace.json", trace.Json());
+  ExpectMatchesGolden("serving_pin_timeline.csv", timeline.Csv());
+  ExpectMatchesGolden("serving_pin_counters.csv",
+                      ServingCounterDeltas(before, after));
 }
 
 }  // namespace
