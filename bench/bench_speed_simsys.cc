@@ -2,6 +2,9 @@
 // studies' value rests on whole design sweeps costing milliseconds, so
 // the event engine and system models must be fast.
 
+#include <cstdint>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "simsys/data_parallel.h"
@@ -101,6 +104,54 @@ void BM_ServingSimulationFaulty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServingSimulationFaulty)->Unit(benchmark::kMillisecond);
+
+void BM_ServingAdaptiveDetect(benchmark::State& state) {
+  // The chaos serving config: 8 GPUs (4 types x 2) under outages (MTBF
+  // 5 s, MTTR 2 s), gray slowdowns, hedging, a retry budget, breakers and
+  // adaptive failure detection at the 0.99 service-time quantile, which
+  // is queried on every retry. Run at a simulated duration D and 4D:
+  // scripts/perf_gate.sh fails when the cost per arrival at 4D exceeds
+  // 1.5x the cost at D, i.e. when the serving core stops being linear
+  // in run length. Both rows come from one binary on one host, so the
+  // ratio needs no machine-specific baseline.
+  const std::vector<double> type_speed{1.0, 1.6, 2.2, 1.3};
+  std::vector<std::vector<double>> truth, predicted;
+  for (double job_us : {2'000.0, 5'000.0, 9'000.0, 14'000.0}) {
+    truth.emplace_back();
+    predicted.emplace_back();
+    for (int g = 0; g < 8; ++g) {
+      truth.back().push_back(job_us * type_speed[g % 4]);
+      predicted.back().push_back(job_us * type_speed[g % 4] * 1.05);
+    }
+  }
+  const std::vector<double> mix(truth.size(), 1.0);
+  simsys::ServingConfig config;
+  config.policy = simsys::DispatchPolicy::kPredictedLeastLoad;
+  config.arrival_rate_per_s = 200;
+  config.duration_s = static_cast<double>(state.range(0));
+  config.faults.mtbf_s = 5;
+  config.faults.mttr_s = 2;
+  config.adaptive_detect_quantile = 0.99;
+  config.hedge_trigger_factor = 1.5;
+  config.retry_budget = 0.5;
+  config.breaker.failure_threshold = 3;
+  config.breaker.cooldown_ms = 1000;
+  config.chaos.gray_mtbf_s = 60;
+  config.chaos.gray_mttr_s = 3;
+  config.chaos.gray_factor = 2;
+  std::int64_t arrivals = 0;
+  for (auto _ : state) {
+    const simsys::ServingResult result =
+        simsys::SimulateServing(truth, predicted, mix, config).value();
+    arrivals = result.completed + result.dropped + result.shed_on_admission;
+    benchmark::DoNotOptimize(result.p99_ms);
+  }
+  state.SetItemsProcessed(state.iterations() * arrivals);
+}
+BENCHMARK(BM_ServingAdaptiveDetect)
+    ->Arg(150)
+    ->Arg(600)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

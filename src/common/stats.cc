@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/logging.h"
 
@@ -32,19 +33,77 @@ double GeoMean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double Percentile(std::vector<double> values, double p) {
-  GP_CHECK(!values.empty());
+namespace {
+
+/** The fractional position Percentile interpolates at among n values. */
+double PercentileRank(double p, std::size_t n) {
+  GP_CHECK_GT(n, 0u);
   GP_CHECK_GE(p, 0.0);
   GP_CHECK_LE(p, 100.0);
+  return p / 100.0 * static_cast<double>(n - 1);
+}
+
+/** Blends order statistics floor(rank) and the one after it. */
+double InterpolateAtRank(double rank, double at_lo, double at_hi) {
+  const double frac =
+      rank - static_cast<double>(static_cast<std::size_t>(rank));
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+}  // namespace
+
+double Percentile(std::vector<double> values, double p) {
   for (double v : values) {
     GP_CHECK(!std::isnan(v)) << "Percentile input contains NaN";
   }
   std::sort(values.begin(), values.end());
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  return SortedPercentile(values, p);
+}
+
+double SortedPercentile(const std::vector<double>& sorted, double p) {
+  const double rank = PercentileRank(p, sorted.size());
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return InterpolateAtRank(rank, sorted[lo], sorted[hi]);
+}
+
+StreamingPercentile::StreamingPercentile(double p) : p_(p) {
+  GP_CHECK_GE(p, 0.0);
+  GP_CHECK_LE(p, 100.0);
+}
+
+void StreamingPercentile::Add(double value) {
+  GP_CHECK(!std::isnan(value)) << "StreamingPercentile input contains NaN";
+  // low_ is empty only before the first Add: Value() never shrinks it
+  // below one element.
+  if (low_.empty() || value <= low_.front()) {
+    low_.push_back(value);
+    std::push_heap(low_.begin(), low_.end());
+  } else {
+    high_.push_back(value);
+    std::push_heap(high_.begin(), high_.end(), std::greater<>());
+  }
+}
+
+double StreamingPercentile::Value() {
+  const double rank = PercentileRank(p_, size());
+  const std::size_t keep_low = static_cast<std::size_t>(rank) + 1;
+  while (low_.size() > keep_low) {
+    std::pop_heap(low_.begin(), low_.end());
+    high_.push_back(low_.back());
+    low_.pop_back();
+    std::push_heap(high_.begin(), high_.end(), std::greater<>());
+  }
+  while (low_.size() < keep_low) {
+    std::pop_heap(high_.begin(), high_.end(), std::greater<>());
+    low_.push_back(high_.back());
+    high_.pop_back();
+    std::push_heap(low_.begin(), low_.end());
+  }
+  // At the top rank (floor(rank) = n - 1) Percentile clamps the upper
+  // neighbour to the last element, which is the max-heap's top.
+  return InterpolateAtRank(rank, low_.front(),
+                           high_.empty() ? low_.front() : high_.front());
 }
 
 double HistogramQuantile(const std::vector<double>& upper_bounds,

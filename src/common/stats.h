@@ -32,6 +32,41 @@ double GeoMean(const std::vector<double>& values);
 double Percentile(std::vector<double> values, double p);
 
 /**
+ * Percentile of an input already sorted ascending and free of NaNs: the
+ * same rank and interpolation as Percentile without its copy and sort,
+ * so several percentiles of one sample share one sort.
+ */
+double SortedPercentile(const std::vector<double>& sorted, double p);
+
+/**
+ * Percentile at a fixed p over a growing sample, exact and streaming:
+ * Value() equals Percentile(every value added so far, p) bit for bit.
+ * A max-heap holds the smallest floor(rank) + 1 values and a min-heap
+ * the rest, so the two order statistics the interpolation reads are the
+ * heap tops. Add is O(log n); Value re-splits the heaps at the current
+ * rank, O(log n) amortized over the Adds since the last query.
+ */
+class StreamingPercentile {
+ public:
+  /** p in [0, 100], as for Percentile. */
+  explicit StreamingPercentile(double p);
+
+  /** Adds one value; a NaN is a programmer error (CHECK). */
+  void Add(double value);
+
+  /** Values added so far. */
+  std::size_t size() const { return low_.size() + high_.size(); }
+
+  /** The percentile of every value added so far; requires size() > 0. */
+  double Value();
+
+ private:
+  double p_;
+  std::vector<double> low_;   // max-heap: the smallest values
+  std::vector<double> high_;  // min-heap: the rest, each >= max(low_)
+};
+
+/**
  * Interpolated quantile of a fixed-bucket histogram, p in [0, 100] —
  * the estimator behind obs::MetricsRegistry's CSV p50/p95/p99 rows
  * (same linear-within-bucket scheme as Prometheus histogram_quantile).

@@ -611,19 +611,30 @@ TEST(ServingTest, ShedJobsCountInGlobalCounters) {
 TEST(ServingTest, EveryArrivalIsAccountedFor) {
   // The observability smoke-check invariant: every job that arrives is
   // either completed, dropped, or shed — under faults, retries, bounded
-  // queues, and breakers all at once.
-  const ServingCounterDeltas counters;
-  ServingConfig config = OverloadConfig(DispatchPolicy::kLeastOutstanding);
-  ServingResult result =
-      SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1}, config)
-          .value();
-  EXPECT_GT(counters["jobs_arrived"], 0u);
-  EXPECT_EQ(counters["jobs_arrived"], counters["jobs_completed"] +
-                                          counters["jobs_dropped"] +
-                                          counters["jobs_shed"]);
-  EXPECT_EQ(counters["jobs_arrived"],
-            static_cast<std::uint64_t>(result.completed + result.dropped +
-                                       result.shed_on_admission));
+  // queues, and breakers all at once, and under a mass failure that
+  // empties the retry budget, whose drops take their own path.
+  ServingConfig budgeted = FaultyConfig(DispatchPolicy::kLeastOutstanding,
+                                        /*mtbf_s=*/5e-7, /*mttr_s=*/5e-7,
+                                        /*rate=*/2000, /*duration=*/0.05);
+  budgeted.retry_budget = 0.1;
+  budgeted.retry_budget_burst = 5;
+  for (const ServingConfig& config :
+       {OverloadConfig(DispatchPolicy::kLeastOutstanding), budgeted}) {
+    const ServingCounterDeltas counters;
+    ServingResult result =
+        SimulateServing(AffinityTimes(), AffinityTimes(), {1, 1}, config)
+            .value();
+    EXPECT_GT(counters["jobs_arrived"], 0u);
+    EXPECT_EQ(counters["jobs_arrived"], counters["jobs_completed"] +
+                                            counters["jobs_dropped"] +
+                                            counters["jobs_shed"]);
+    EXPECT_EQ(counters["jobs_arrived"],
+              static_cast<std::uint64_t>(result.completed + result.dropped +
+                                         result.shed_on_admission));
+    if (config.retry_budget > 0) {
+      EXPECT_GT(result.retries_suppressed, 0);  // the budget path ran
+    }
+  }
 }
 
 // Runs one simulation and asserts the conservation invariant both on
